@@ -10,16 +10,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .coloring import (
     EdgeColoring,
+    ListTooSmall,
     acyclic_edge_color,
     acyclic_edge_color_lists,
     oracle_chi_a,
@@ -28,6 +27,9 @@ from .coloring import (
 )
 from .corpus import (
     NAMED_INSTANCES,
+    DrawingFormatError,
+    GenerationError,
+    Graph6Error,
     gen_plane_triangulation,
     gen_random_oneplanar,
     load_drawing,
@@ -41,6 +43,7 @@ from .corpus import (
 from .discharging import apply_rules, audit, initial_charges, special_faces
 from .model import (
     AbstractGraph,
+    Edge,
     OnePlanarDrawing,
     OnePlanarError,
     edge_bound_check,
@@ -64,6 +67,10 @@ class _InputError(OnePlanarError):
     pass
 
 
+# errors that mean the input cannot be used at all, as opposed to a failed check
+_UNUSABLE_INPUT = (_InputError, DrawingFormatError, Graph6Error, GenerationError, ListTooSmall)
+
+
 def _load_input(path: str) -> tuple[AbstractGraph, OnePlanarDrawing | None]:
     """Load a .g6 file (graph only) or a drawing JSON file."""
     p = Path(path)
@@ -82,6 +89,42 @@ def _require_drawing(path: str) -> OnePlanarDrawing:
     if d is None:
         raise _InputError(f"{path}: this command needs a drawing, not a graph6 file")
     return d
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise _InputError(f"{path}: not valid JSON: {exc}") from None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_int_list(x) -> bool:
+    return isinstance(x, list) and all(_is_int(c) for c in x)
+
+
+def _edge_records(doc, what: str, value_ok, value_desc: str) -> dict[Edge, object]:
+    """The [u, v, value] records of a coloring or list document, keyed by edge."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
+        raise _InputError(f"{what} JSON needs a list field edges")
+    out: dict[Edge, object] = {}
+    for i, rec in enumerate(doc["edges"]):
+        if not (
+            isinstance(rec, list)
+            and len(rec) == 3
+            and _is_int(rec[0])
+            and _is_int(rec[1])
+            and rec[0] != rec[1]
+            and value_ok(rec[2])
+        ):
+            raise _InputError(
+                f"{what} edges[{i}]: expected [u, v, {value_desc}] with distinct integers u, v"
+            )
+        out[normalize_edge(rec[0], rec[1])] = rec[2]
+    return out
 
 
 def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
@@ -162,6 +205,7 @@ def _cmd_census(args) -> int:
     d = _require_drawing(args.input)
     T = canonical_triangulate(d)
     c = classify_neighbors(T, args.vertex)
+    obs = check_observations(T)
     doc = {
         "center": c.center,
         "cyclic_neighbors": list(c.cyclic_neighbors),
@@ -190,10 +234,7 @@ def _cmd_census(args) -> int:
             "class3": c.class3_count,
         },
         "degree_counts": {str(k): v for k, v in sorted(c.degree_counts.items())},
-        "observations": {
-            "errors": len(check_observations(T).errors),
-            "warnings": len(check_observations(T).warnings),
-        },
+        "observations": {"errors": len(obs.errors), "warnings": len(obs.warnings)},
     }
     _emit(doc, args.format, [f"vertex {c.center}: labels {list(c.labels)}"])
     return 0
@@ -275,23 +316,16 @@ def _coloring_doc(ec: EdgeColoring) -> dict:
 
 
 def _coloring_from_doc(doc) -> EdgeColoring:
-    if not isinstance(doc, dict) or "edges" not in doc or "L" not in doc:
-        raise _InputError("coloring JSON needs fields L and edges")
-    assignment = {}
-    for rec in doc["edges"]:
-        u, v, c = rec
-        assignment[normalize_edge(u, v)] = c
+    if not isinstance(doc, dict) or not _is_int(doc.get("L")):
+        raise _InputError("coloring JSON needs an integer field L")
+    assignment = _edge_records(doc, "coloring", _is_int, "color")
     return EdgeColoring(assignment, doc["L"])
 
 
 def _cmd_color(args) -> int:
     g = _graph_for(args)
     if args.lists:
-        raw = json.loads(Path(args.lists).read_text(encoding="utf-8"))
-        lists = {}
-        for rec in raw["edges"]:
-            u, v, colors = rec
-            lists[normalize_edge(u, v)] = colors
+        lists = _edge_records(_read_json(args.lists), "lists", _is_int_list, "colors")
         ec = acyclic_edge_color_lists(g, lists)
     else:
         ec = acyclic_edge_color(g)
@@ -311,7 +345,7 @@ def _cmd_color(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _graph_for(args)
-    ec = _coloring_from_doc(json.loads(Path(args.coloring).read_text(encoding="utf-8")))
+    ec = _coloring_from_doc(_read_json(args.coloring))
     rep = verify_acyclic(g, ec)
     doc = {
         "ok": rep.ok,
@@ -491,13 +525,7 @@ def _run_entry(entry: dict) -> dict:
 def run_suite(manifest: dict) -> dict:
     """Execute a manifest; report order always matches manifest order."""
     t0 = time.perf_counter()
-    entries = manifest.get("entries", [])
-    threads = int(os.environ.get("ONEPLANAR_THREADS", "1") or "1")
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_entry, entries))
-    else:
-        results = [_run_entry(e) for e in entries]
+    results = [_run_entry(e) for e in manifest.get("entries", [])]
     failures = sum(
         1 for r in results for c in r["results"] if c["status"] in ("fail", "error")
     )
@@ -511,7 +539,7 @@ def run_suite(manifest: dict) -> dict:
 
 
 def _cmd_run_suite(args) -> int:
-    manifest = json.loads(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _read_json(args.manifest)
     report = run_suite(manifest)
     out = json.dumps(report, sort_keys=True, indent=2)
     if args.report:
@@ -600,7 +628,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except OnePlanarError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return _USAGE_ERROR if isinstance(exc, _InputError) else _CHECK_FAILED
+        return _USAGE_ERROR if isinstance(exc, _UNUSABLE_INPUT) else _CHECK_FAILED
     except OSError as exc:
         print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
         return _USAGE_ERROR

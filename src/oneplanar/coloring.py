@@ -23,8 +23,6 @@ from .structure import CONFIG_BOUNDS, ConfigurationNotFound, matches_configurati
 
 DEFAULT_BACKTRACK_BUDGET = 10_000
 
-_CONFIG_CEILINGS = (8, 11, 14, 19, 35)
-
 
 def palette_size(max_degree: int) -> int:
     """Palette bound max(2*maxdeg - 2, maxdeg + 83)."""
@@ -82,20 +80,15 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
     adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(g.n)}
     alive: set[int] = set(range(g.n))
 
-    def config_ok(v: int) -> bool:
-        deg = len(adj[v])
-        bounds = CONFIG_BOUNDS.get(deg)
-        if bounds is None:
-            return False
-        degs = sorted(len(adj[u]) for u in adj[v])
-        return all(degs[i] <= b for i, b in enumerate(bounds))
+    def degree(u: int) -> int:
+        return len(adj[u])
 
     low: list[tuple[int, int]] = []
     cfg: list[int] = []
     for v in alive:
         if len(adj[v]) <= 2:
             heapq.heappush(low, (len(adj[v]), v))
-        elif config_ok(v):
+        elif matches_configuration(adj[v], degree):
             heapq.heappush(cfg, v)
 
     steps: list[PlanStep] = []
@@ -111,7 +104,7 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
         if v < 0:
             while cfg:
                 v0 = cfg[0]
-                if v0 in alive and config_ok(v0):
+                if v0 in alive and matches_configuration(adj[v0], degree):
                     v, case = v0, "config"
                     break
                 heapq.heappop(cfg)
@@ -152,7 +145,7 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
             deg = len(adj[u])
             if deg <= 2:
                 heapq.heappush(low, (deg, u))
-            elif config_ok(u):
+            elif matches_configuration(adj[u], degree):
                 heapq.heappush(cfg, u)
     return EliminationPlan(tuple(steps))
 
@@ -325,7 +318,8 @@ def _extend_step(
         else:
             first = _candidates(allowed_for(vd1), phi[vd1] | phi[vd], L)
         cand_sets = [first] + [None] * (d - 1)
-        stats.literal_bound = L - (sum(c - 1 for c in _CONFIG_CEILINGS[: d - 2]) + maxdeg)
+        ceilings = CONFIG_BOUNDS[7]  # the full row, (8, 11, 14, 19, 35)
+        stats.literal_bound = L - (sum(c - 1 for c in ceilings[: d - 2]) + maxdeg)
 
     chosen: list[int] = []
     attempts = 0

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .model import FaceList, OnePlanarError, trace_faces
+from .model import OnePlanarError
 from .triangulation import CanonicalTriangulation, is_canonical
 
 ChargeKey = Union[int, tuple[str, int]]  # vertex id, or ("face", face index)
@@ -85,11 +85,6 @@ class ChargeLedger:
         return {k[1]: v for k, v in self.charges.items() if isinstance(k, tuple)}
 
 
-def faces_of(T: CanonicalTriangulation) -> FaceList:
-    """Face list of the planarization, in deterministic trace order."""
-    return trace_faces(T.drawing.rotation)
-
-
 def special_faces(T: CanonicalTriangulation) -> tuple[int, ...]:
     """Indices of the 3-faces incident with a crossing vertex.
 
@@ -97,7 +92,7 @@ def special_faces(T: CanonicalTriangulation) -> tuple[int, ...]:
     crossing vertices, which the drawing format cannot even express).
     """
     n = T.drawing.n
-    fl = faces_of(T)
+    fl = T.drawing.face_list
     return tuple(i for i, f in enumerate(fl.faces) if any(w >= n for w in f))
 
 
@@ -106,7 +101,7 @@ def initial_charges(T: CanonicalTriangulation) -> ChargeLedger:
     d = T.drawing
     if not is_canonical(d):
         raise DischargingError("discharging needs a canonical triangulation")
-    fl = faces_of(T)
+    fl = d.face_list
     if fl.components != 1:
         raise DischargingError("discharging needs a connected drawing")
     charges: dict[ChargeKey, Fraction] = {}
@@ -124,7 +119,7 @@ def apply_rules(T: CanonicalTriangulation, ledger: ChargeLedger) -> ChargeLedger
     """Apply every rule once where triggered; deterministic transcript order."""
     d = T.drawing
     n = d.n
-    fl = faces_of(T)
+    fl = d.face_list
     charges = dict(ledger.charges)
     transcript = list(ledger.transcript)
 

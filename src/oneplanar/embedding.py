@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .model import MalformedDrawingError, OnePlanarError
+from .model import OnePlanarError, trace_faces
 
 
 class EmbeddingError(OnePlanarError):
@@ -23,45 +23,16 @@ class EmbeddingError(OnePlanarError):
 
 
 class MutableEmbedding:
-    def __init__(self, rotations: Sequence[Sequence[int]] | dict[int, Sequence[int]]):
-        if isinstance(rotations, dict):
-            items = rotations.items()
-        else:
-            items = enumerate(rotations)
-        self.rot: dict[int, list[int]] = {w: list(order) for w, order in items}
+    def __init__(self, rotations: Sequence[Sequence[int]]):
+        self.rot: dict[int, list[int]] = {w: list(order) for w, order in enumerate(rotations)}
         self.faces: dict[int, list[int]] = {}
         self.edge_face: dict[tuple[int, int], int] = {}
         self._next_fid = 0
-        self._trace_all()
+        # face ids follow trace order, which step 4 of the triangulation relies on
+        for face in trace_faces(rotations).faces:
+            self._register_face(list(face))
 
     # -- construction ------------------------------------------------------
-
-    def _trace_all(self) -> None:
-        self.faces.clear()
-        self.edge_face.clear()
-        self._next_fid = 0
-        succ = {
-            w: {u: order[(k + 1) % len(order)] for k, u in enumerate(order)}
-            for w, order in self.rot.items()
-        }
-        for w, order in self.rot.items():
-            if len(set(order)) != len(order):
-                raise MalformedDrawingError(f"rotation[{w}] repeats a neighbor")
-            for u in order:
-                if w not in succ.get(u, {}):
-                    raise MalformedDrawingError(f"rotation asymmetric at edge ({w},{u})")
-        seen: set[tuple[int, int]] = set()
-        for u in self.rot:
-            for v in self.rot[u]:
-                if (u, v) in seen:
-                    continue
-                walk: list[int] = []
-                cur = (u, v)
-                while cur not in seen:
-                    seen.add(cur)
-                    walk.append(cur[0])
-                    cur = (cur[1], succ[cur[1]][cur[0]])
-                self._register_face(walk)
 
     def _register_face(self, walk: list[int]) -> int:
         fid = self._next_fid
@@ -80,29 +51,8 @@ class MutableEmbedding:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rot.get(u, ())
 
-    def degree(self, w: int) -> int:
-        return len(self.rot[w])
-
-    def face_vertices(self, fid: int) -> list[int]:
-        return self.faces[fid]
-
     def rotations(self, order: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self.rot[w]) for w in order)
-
-    def connected(self) -> bool:
-        if not self.rot:
-            return True
-        it = iter(self.rot)
-        start = next(it)
-        seen = {start}
-        stack = [start]
-        while stack:
-            w = stack.pop()
-            for x in self.rot[w]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return len(seen) == len(self.rot)
 
     def triangle_third(self, fid: int, u: int, v: int) -> int:
         """Third vertex of a triangular face containing directed edge (u, v)."""
@@ -171,40 +121,45 @@ class MutableEmbedding:
             self._register_face([c, a, v]),
         )
 
-    def delete_edge(self, u: int, v: int) -> None:
-        """Remove edge uv, merging its two faces (or splitting one, if a bridge)."""
+    def _check_deletable(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
             raise EmbeddingError(f"no edge {u}-{v}")
-        f1 = self.edge_face.pop((u, v))
-        f2 = self.edge_face.pop((v, u))
-        self.rot[u].remove(v)
-        self.rot[v].remove(u)
+        if len(self.rot[u]) == 1 or len(self.rot[v]) == 1:
+            raise EmbeddingError(f"deleting {u}-{v} would isolate a vertex")
+
+    def delete_edge(self, u: int, v: int) -> None:
+        """Remove edge uv, merging its two faces (or splitting one, if a bridge).
+
+        Raises EmbeddingError, leaving the embedding untouched, when uv is
+        missing or an endpoint has no other neighbor.
+        """
+        self._check_deletable(u, v)
+        f1 = self.edge_face[(u, v)]
+        f2 = self.edge_face[(v, u)]
+        face1 = self.faces[f1]
+        p = self._dir_index(face1, u, v)
         if f1 != f2:
-            face1 = self.faces[f1]
             face2 = self.faces[f2]
-            p = self._dir_index(face1, u, v)
             q = self._dir_index(face2, v, u)
             # u -> v -> A... and v -> u -> B... merge to u -> B... -> v -> A...
             a_part = face1[p + 1 :] + face1[:p]  # v, A..., (back to u)
             b_part = face2[q + 1 :] + face2[:q]  # u, B..., (back to v)
-            merged = b_part + a_part
-            self._drop_face(f1)
-            self._drop_face(f2)
-            self._register_face(merged)
+            new_faces = [b_part + a_part]
         else:
-            face = self.faces[f1]
-            p = self._dir_index(face, u, v)
-            q = self._dir_index(face, v, u)
+            q = self._dir_index(face1, v, u)
             if p > q:
                 p, q = q, p
                 u, v = v, u
-            side_a = face[p + 1 : q]          # v-side loop
-            side_b = face[q + 1 :] + face[:p]  # u-side loop
-            self._drop_face(f1)
-            if not side_a or not side_b:
-                raise EmbeddingError(f"deleting {u}-{v} would isolate a vertex")
-            self._register_face(side_a)
-            self._register_face(side_b)
+            side_a = face1[p + 1 : q]          # v-side loop
+            side_b = face1[q + 1 :] + face1[:p]  # u-side loop
+            new_faces = [side_a, side_b]
+        del self.edge_face[(u, v)], self.edge_face[(v, u)]
+        self.rot[u].remove(v)
+        self.rot[v].remove(u)
+        for fid in {f1, f2}:
+            self._drop_face(fid)
+        for face in new_faces:
+            self._register_face(face)
 
     @staticmethod
     def _dir_index(face: list[int], u: int, v: int) -> int:
@@ -269,11 +224,20 @@ class MutableEmbedding:
         return a, c
 
     def remove_crossing(self, z: int, removed: tuple[int, int]) -> None:
-        """Delete one of the two edges crossing at z; the other becomes whole."""
+        """Delete one of the two edges crossing at z; the other becomes whole.
+
+        Every precondition of the two half-edge deletions and the smoothing
+        is checked first, so a refused removal leaves the embedding untouched.
+        """
         x, y = removed
         order = self.rot[z]
         if len(order) != 4 or x not in order or y not in order:
             raise EmbeddingError(f"{removed} is not split at crossing {z}")
+        self._check_deletable(x, z)
+        self._check_deletable(z, y)
+        u, v = (w for w in order if w not in removed)
+        if self.has_edge(u, v):
+            raise EmbeddingError(f"smoothing {z} would create a multi-edge {u}-{v}")
         self.delete_edge(x, z)
         self.delete_edge(z, y)
         self.smooth_degree2(z)

@@ -14,7 +14,7 @@ All types here are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -121,7 +121,7 @@ class OnePlanarDrawing:
     drawings can be represented and reported on.
     """
 
-    __slots__ = ("base", "crossings", "rotation", "_edge_crossing")
+    __slots__ = ("base", "crossings", "rotation", "_edge_crossing", "_face_list")
 
     def __init__(
         self,
@@ -156,6 +156,19 @@ class OnePlanarDrawing:
             for e in (c.e1, c.e2):
                 ec.setdefault(e, n + i)
         self._edge_crossing = ec
+        self._face_list: FaceList | None = None
+
+    @property
+    def face_list(self) -> FaceList:
+        """Faces of the planarization, traced on first use and kept.
+
+        The drawing never changes after construction, so one trace serves
+        every later reader.  Raises MalformedDrawingError when the rotation
+        cannot be traced (see ``trace_faces``).
+        """
+        if self._face_list is None:
+            self._face_list = trace_faces(self.rotation)
+        return self._face_list
 
     @property
     def n(self) -> int:
@@ -218,6 +231,25 @@ class FaceList:
         return sum(len(f) for f in self.faces)
 
 
+def _component_labels(rotation: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Component label of every id (walking rotation entries) and the count."""
+    comp = [-1] * len(rotation)
+    components = 0
+    for s in range(len(rotation)):
+        if comp[s] >= 0:
+            continue
+        stack = [s]
+        comp[s] = components
+        while stack:
+            w = stack.pop()
+            for x in rotation[w]:
+                if comp[x] < 0:
+                    comp[x] = components
+                    stack.append(x)
+        components += 1
+    return comp, components
+
+
 def trace_faces(rotation: Sequence[Sequence[int]]) -> FaceList:
     """Trace all faces of a rotation system.
 
@@ -253,20 +285,7 @@ def trace_faces(rotation: Sequence[Sequence[int]]) -> FaceList:
             faces.append(tuple(walk))
 
     # per-component Euler check; an isolated vertex counts one face
-    comp = [-1] * len(rotation)
-    components = 0
-    for s in range(len(rotation)):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = components
-        while stack:
-            w = stack.pop()
-            for x in rotation[w]:
-                if comp[x] < 0:
-                    comp[x] = components
-                    stack.append(x)
-        components += 1
+    comp, components = _component_labels(rotation)
     cv = [0] * components
     ce = [0] * components
     cf = [0] * components
@@ -421,7 +440,7 @@ def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
         )
 
     if coverage_ok:
-        fl = trace_faces(d.rotation)
+        fl = d.face_list
         stats["genus"] = fl.genus
         stats["components"] = fl.components
         stats["faces"] = len(fl.faces)
@@ -480,29 +499,4 @@ def associated_plane_graph(
 
 def planarization_components(d: OnePlanarDrawing) -> int:
     """Number of connected components of the planarization (drawing pieces)."""
-    total = d.planarization_size
-    seen = [False] * total
-    comps = 0
-    for s in range(total):
-        if seen[s]:
-            continue
-        comps += 1
-        seen[s] = True
-        stack = [s]
-        while stack:
-            w = stack.pop()
-            for x in d.rotation[w]:
-                if not seen[x]:
-                    seen[x] = True
-                    stack.append(x)
-    return comps
-
-
-def iter_planarization_edges(d: OnePlanarDrawing) -> Iterator[Edge]:
-    for u, v in d.base.edges:
-        z = d.crossing_of_edge(u, v)
-        if z is None:
-            yield (u, v)
-        else:
-            yield normalize_edge(u, z)
-            yield normalize_edge(z, v)
+    return _component_labels(d.rotation)[1]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, Collection
 
 from .model import AbstractGraph, Edge, OnePlanarError, normalize_edge
 from .triangulation import CanonicalTriangulation
@@ -57,14 +58,21 @@ def _sorted_neighbors(g: AbstractGraph, v: int) -> list[int]:
     return sorted(g.neighbors(v), key=lambda u: (g.degree(u), u))
 
 
-def matches_configuration(g: AbstractGraph, v: int) -> bool:
-    deg = g.degree(v)
+def matches_configuration(neighbors: Collection[int], degree: Callable[[int], int]) -> bool:
+    """Whether a center with these neighbors carries a configuration.
+
+    Degree at most 2 always does (C1); degree 3..7 does when the k-th
+    smallest neighbor degree is at most the k-th ceiling in CONFIG_BOUNDS.
+    ``degree`` gives the current degree of a neighbor, so the elimination
+    plan can ask about its shrinking working graph.
+    """
+    deg = len(neighbors)
     if deg <= 2:
         return True
     bounds = CONFIG_BOUNDS.get(deg)
     if bounds is None:
         return False
-    degs = sorted(g.degree(u) for u in g.neighbors(v))
+    degs = sorted(map(degree, neighbors))
     return all(degs[i] <= b for i, b in enumerate(bounds))
 
 
@@ -75,7 +83,7 @@ def find_configuration(g: AbstractGraph) -> Configuration:
     ascending degree order with ties broken by id.
     """
     for v in range(g.n):
-        if matches_configuration(g, v):
+        if matches_configuration(g.neighbors(v), g.degree):
             nbrs = _sorted_neighbors(g, v)
             return Configuration(
                 kind=_kind_for_degree(g.degree(v)),

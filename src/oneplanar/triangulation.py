@@ -36,7 +36,6 @@ from .model import (
     OnePlanarError,
     normalize_edge,
     planarization_components,
-    trace_faces,
     validate_drawing,
 )
 
@@ -72,8 +71,7 @@ def is_canonical(d: OnePlanarDrawing) -> bool:
     a cycle of graph edges (the kite)."""
     if not validate_drawing(d).valid:
         return False
-    fl = trace_faces(d.rotation)
-    if any(len(f) != 3 for f in fl.faces):
+    if any(len(f) != 3 for f in d.face_list.faces):
         return False
     n = d.n
     for i in range(d.num_crossings):

@@ -210,3 +210,22 @@ def test_run_suite_missing_input_recorded(tmp_path):
     assert r.returncode == 1
     rep = json.loads(r.stdout)
     assert rep["entries"][0]["results"][0]["status"] == "error"
+
+
+def _assert_input_error(r):
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and "message" in json.loads(lines[0])
+
+
+def test_incomplete_drawing_is_unusable_input(tmp_path):
+    p = tmp_path / "short.json"
+    p.write_text('{"n": 2}', encoding="utf-8")
+    _assert_input_error(run_cli("validate", str(p)))
+
+
+def test_short_coloring_record_is_unusable_input(octa_file, tmp_path):
+    col = tmp_path / "coloring.json"
+    col.write_text(json.dumps({"L": 6, "edges": [[0, 1]]}), encoding="utf-8")
+    _assert_input_error(run_cli("verify", str(octa_file), str(col)))

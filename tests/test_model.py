@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from oneplanar import (
@@ -8,12 +10,21 @@ from oneplanar import (
     InvalidDrawingError,
     MalformedDrawingError,
     OnePlanarDrawing,
+    apply_rules,
     associated_plane_graph,
+    canonical_triangulate,
     edge_bound_check,
+    gen_random_oneplanar,
+    initial_charges,
+    is_canonical,
+    model,
     named_instance,
+    special_faces,
     trace_faces,
     validate_drawing,
 )
+
+from conftest import CORPUS_FRACTIONS
 
 # K4 drawn with one crossing: quad 0-2-1-3 around crossing 4 on edges 01 x 23
 QUAD_KITE = OnePlanarDrawing(
@@ -174,6 +185,62 @@ def test_trace_faces_toroidal_k4():
 def test_trace_faces_rejects_asymmetric_rotation():
     with pytest.raises(MalformedDrawingError):
         trace_faces([[1], []])
+
+
+def _without_uncrossed_edges(d: OnePlanarDrawing, every: int) -> OnePlanarDrawing:
+    """d without each `every`-th uncrossed edge (sorted order) whose ends keep degree >= 2."""
+    rot = [list(order) for order in d.rotation]
+    edges = set(d.base.edges)
+    for k, (u, v) in enumerate(sorted(d.base.edges)):
+        if k % every or d.crossing_of_edge(u, v) is not None:
+            continue
+        if len(rot[u]) > 2 and len(rot[v]) > 2:
+            rot[u].remove(v)
+            rot[v].remove(u)
+            edges.remove((u, v))
+    return OnePlanarDrawing(AbstractGraph(d.n, edges), d.crossings, rot)
+
+
+def _networkx_face_lengths(rotation) -> list[int]:
+    nx = pytest.importorskip("networkx")
+    emb = nx.PlanarEmbedding()
+    # networkx lists neighbors clockwise and leaves w along the ccw neighbor
+    # of the arrival; reversed lists make that our "next in rotation" rule
+    emb.set_data({w: list(reversed(order)) for w, order in enumerate(rotation)})
+    emb.check_structure()
+    marked: set = set()
+    return sorted(
+        len(emb.traverse_face(v, w, mark_half_edges=marked))
+        for v, w in emb.edges()
+        if (v, w) not in marked
+    )
+
+
+def test_trace_faces_agrees_with_networkx():
+    drawings = [
+        gen_random_oneplanar(n, frac, 31 * n + k)
+        for n in (10, 47, 120, 200)
+        for k, frac in enumerate(CORPUS_FRACTIONS)
+    ]
+    thinned = [_without_uncrossed_edges(d, 3) for d in drawings[5:8]]
+    for d in thinned:
+        assert validate_drawing(d).valid and not is_canonical(d)
+    for d in drawings + thinned:
+        fl = trace_faces(d.rotation)
+        assert sorted(fl.lengths()) == _networkx_face_lengths(d.rotation)
+
+
+def test_canonical_drawing_is_traced_once(monkeypatch):
+    d = gen_random_oneplanar(150, Fraction(1, 2), 11)
+    calls = []
+    real = model.trace_faces
+    monkeypatch.setattr(model, "trace_faces", lambda rot: calls.append(1) or real(rot))
+    assert validate_drawing(d).valid
+    T = canonical_triangulate(d)
+    assert is_canonical(T.drawing)
+    led = apply_rules(T, initial_charges(T))
+    assert led.total() == -8 and special_faces(T)
+    assert len(calls) == 1
 
 
 def test_handshake_and_face_length_sums(corpus_drawings):
