@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .coloring import (
@@ -32,13 +33,11 @@ from .corpus import (
     Graph6Error,
     gen_plane_triangulation,
     gen_random_oneplanar,
-    load_drawing,
     named_instance,
     parse_graph6,
     read_drawing_json,
     save_drawing,
     write_drawing_json,
-    write_graph6,
 )
 from .discharging import apply_rules, audit, initial_charges, special_faces
 from .model import (
@@ -71,23 +70,74 @@ class _InputError(OnePlanarError):
 _UNUSABLE_INPUT = (_InputError, DrawingFormatError, Graph6Error, GenerationError, ListTooSmall)
 
 
+def _field(spec: dict, key: str, want: type):
+    """spec[key], which must be of type ``want`` (a bool is not an int)."""
+    value = spec.get(key)
+    if not isinstance(value, want) or isinstance(value, bool):
+        raise _InputError(f"input field {key!r} must be of type {want.__name__}, got {value!r}")
+    return value
+
+
+def _resolve_input(spec) -> tuple[AbstractGraph, OnePlanarDrawing | None, bytes]:
+    """Resolve an input spec to (graph, drawing or None, the bytes its digest covers).
+
+    Kinds: ``named`` (name), ``file`` (path of a .g6 or drawing JSON file),
+    ``g6`` (graph6 text) and ``gen`` (generator, default random_oneplanar;
+    n; seed; fraction, default 0).
+    """
+    if not isinstance(spec, dict):
+        raise _InputError(f"input must be an object, got {spec!r}")
+    kind = spec.get("kind")
+    if kind == "file":
+        path = _field(spec, "path", str)
+        if "\0" in path:  # the OS refuses such a path with ValueError, not OSError
+            raise _InputError(f"input path {path!r} contains a NUL byte")
+        blob = Path(path).read_bytes()
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError:
+            raise _InputError(f"{path}: not UTF-8 text") from None
+        if Path(path).suffix == ".g6":
+            line = next((ln for ln in text.splitlines() if ln.strip()), "")
+            return parse_graph6(line), None, blob
+        d = read_drawing_json(text)
+        return d.base, d, blob
+    if kind == "g6":
+        text = _field(spec, "text", str)
+        return parse_graph6(text), None, text.encode()
+    if kind == "named":
+        d = named_instance(_field(spec, "name", str))
+    elif kind == "gen":
+        generator = spec.get("generator", "random_oneplanar")
+        n, seed = _field(spec, "n", int), _field(spec, "seed", int)
+        if generator == "plane_triangulation":
+            d = gen_plane_triangulation(n, seed)
+        elif generator == "random_oneplanar":
+            try:
+                fraction = Fraction(spec.get("fraction", 0))
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise _InputError(
+                    f"fraction must be a number or a p/q string, got {spec.get('fraction')!r}"
+                ) from None
+            d = gen_random_oneplanar(n, fraction, seed)
+        else:
+            raise _InputError(f"unknown generator {generator!r}")
+    else:
+        raise _InputError(f"unknown input kind {kind!r}")
+    return d.base, d, write_drawing_json(d).encode()
+
+
 def _load_input(path: str) -> tuple[AbstractGraph, OnePlanarDrawing | None]:
     """Load a .g6 file (graph only) or a drawing JSON file."""
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise _InputError(f"input file not found: {path}")
-    text = p.read_text(encoding="utf-8")
-    if p.suffix == ".g6":
-        line = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return parse_graph6(line), None
-    d = read_drawing_json(text)
-    return d.base, d
+    g, d, _ = _resolve_input({"kind": "file", "path": path})
+    return g, d
 
 
-def _require_drawing(path: str) -> OnePlanarDrawing:
-    _, d = _load_input(path)
+def _need_drawing(d: OnePlanarDrawing | None) -> OnePlanarDrawing:
     if d is None:
-        raise _InputError(f"{path}: this command needs a drawing, not a graph6 file")
+        raise _InputError("check needs a drawing input")
     return d
 
 
@@ -135,6 +185,13 @@ def _emit(doc: dict, fmt: str, text_lines: list[str]) -> None:
             print(line)
 
 
+def _write_compact(path: str, doc) -> None:
+    Path(path).write_text(
+        json.dumps(doc, sort_keys=True, indent=None, separators=(",", ":")) + "\n",
+        encoding="utf-8",
+    )
+
+
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
@@ -144,47 +201,164 @@ def _key(k) -> str:
 
 
 # --------------------------------------------------------------------------
+# checks: one function per suite check, shared with the subcommands
+# --------------------------------------------------------------------------
+
+
+class _Outcome(NamedTuple):
+    """A check's verdict and its suite report ``detail``.  ``doc`` builds the
+    subcommand's stdout document and text lines on demand, so the suite never
+    pays for them; ``value`` is what a subcommand's side output is written from."""
+
+    passed: bool
+    detail: dict
+    doc: Callable[[], tuple[dict, list[str]]] | None = None
+    value: object = None
+
+
+# Each check takes (graph, drawing or None) and keyword options; it reads its
+# own option (oracle: limit, color: lists) and ignores the others.
+
+
+def _check_validate(g, d, **_) -> _Outcome:
+    rep = validate_drawing(_need_drawing(d))
+    return _Outcome(rep.valid, {"violations": rep.codes()}, lambda: (
+        {
+            "valid": rep.valid,
+            "violations": [{"code": v.code, "message": v.message} for v in rep.violations],
+            "stats": dict(rep.stats),
+        },
+        [f"valid: {rep.valid}", *(f"  {v.code}: {v.message}" for v in rep.violations)],
+    ))
+
+
+def _check_edge_bound(g, d, **_) -> _Outcome:
+    eb = edge_bound_check(_need_drawing(d))
+    detail = {"e": eb.e, "bound": eb.bound}
+    return _Outcome(eb.passed, detail, lambda: (
+        {**detail, "passed": eb.passed, "vacuous": eb.vacuous},
+        [f"edge bound: e={eb.e} <= {eb.bound}: {eb.passed}"],
+    ))
+
+
+def _check_triangulate(g, d, **_) -> _Outcome:
+    T = canonical_triangulate(_need_drawing(d))
+    ok = is_canonical(T.drawing)
+    idem = canonical_triangulate(T.drawing).drawing == T.drawing
+    return _Outcome(ok and idem, {"canonical": ok, "idempotent": idem})
+
+
+def _check_find_config(g, d, **_) -> _Outcome:
+    cfg = find_configuration(g)
+    detail = {"kind": cfg.kind, "center": cfg.center}
+    degrees = list(cfg.neighbor_degrees)
+    return _Outcome(True, detail, lambda: (
+        {**detail, "neighbors": list(cfg.neighbors), "neighbor_degrees": degrees},
+        [f"{cfg.kind} at {cfg.center}, degrees {degrees}"],
+    ))
+
+
+def _check_light_p3(g, d, **_) -> _Outcome:
+    path = list(find_light_path3(g))
+    degrees = [g.degree(x) for x in path]
+    return _Outcome(True, {"path": path}, lambda: (
+        {"shape": "p3", "path": path, "degrees": degrees},
+        [f"path {'-'.join(map(str, path))}, degrees {degrees}"],
+    ))
+
+
+def _check_light_s3(g, d, **_) -> _Outcome:
+    v, leaves = find_light_star3(g)
+    detail = {"center": v, "leaves": list(leaves)}
+    degrees = [g.degree(x) for x in (v, *leaves)]
+    return _Outcome(True, detail, lambda: (
+        {"shape": "s3", **detail, "degrees": degrees},
+        [f"star {v} -> {list(leaves)}, degrees {degrees}"],
+    ))
+
+
+def _check_discharge(g, d, **_) -> _Outcome:
+    T = canonical_triangulate(_need_drawing(d))
+    led0 = initial_charges(T)
+    led1 = apply_rules(T, led0)
+    rep = audit(led1)
+    total = _frac(rep.total)
+    detail = {"total": total, "negatives": len(rep.negatives)}
+    return _Outcome(rep.total_is_minus8, detail, lambda: (
+        {
+            "initial_total": _frac(led0.total()),
+            "final_total": total,
+            "total_is_minus8": rep.total_is_minus8,
+            "special_faces": len(special_faces(T)),
+            "transfers": len(led1.transcript),
+            "negatives": [_key(k) for k in rep.negatives],
+            "vertex_charges": {str(v): _frac(c) for v, c in sorted(led1.vertex_charges().items())},
+        },
+        [f"total {total}, {len(rep.negatives)} negative elements"],
+    ), led1)
+
+
+def _check_color(g, d, lists=None, **_) -> _Outcome:
+    ec = acyclic_edge_color(g) if lists is None else acyclic_edge_color_lists(g, lists)
+    rep = verify_acyclic(g, ec)
+    used = ec.num_colors()
+    # a list coloring is bounded by its lists, not by the palette size L
+    passed = rep.ok and (lists is not None or used <= ec.palette)
+    return _Outcome(passed, {"colors_used": used, "L": ec.palette}, lambda: (
+        {**_coloring_doc(ec), "colors_used": used, "verified": rep.ok},
+        [f"{used} colors of {ec.palette}, verified={rep.ok}"],
+    ), ec)
+
+
+def _check_oracle(g, d, limit=None, **_) -> _Outcome:
+    if limit is None:
+        limit = palette_size(g.max_degree())
+    value = oracle_chi_a(g, limit)
+    detail = {"chi_a": value, "limit": limit}
+    return _Outcome(value is not None, detail, lambda: (
+        {**detail, "exceeded": value is None},
+        [f"chi'_a = {value}" if value is not None else f"> {limit}"],
+    ))
+
+
+_CHECKS: dict[str, Callable[..., _Outcome]] = {
+    "validate": _check_validate,
+    "edge-bound": _check_edge_bound,
+    "triangulate": _check_triangulate,
+    "find-config": _check_find_config,
+    "light-p3": _check_light_p3,
+    "light-s3": _check_light_s3,
+    "discharge": _check_discharge,
+    "color": _check_color,
+    "oracle": _check_oracle,
+}
+
+
+# --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
 
+def _finish(out: _Outcome, fmt: str) -> int:
+    """Print a check's subcommand document; the exit code is its verdict."""
+    doc, lines = out.doc()
+    _emit(doc, fmt, lines)
+    return 0 if out.passed else _CHECK_FAILED
+
+
 def _cmd_validate(args) -> int:
-    d = _require_drawing(args.input)
-    rep = validate_drawing(d)
-    eb = edge_bound_check(d)
-    doc = {
-        "valid": rep.valid,
-        "violations": [{"code": v.code, "message": v.message} for v in rep.violations],
-        "stats": dict(rep.stats),
-        "edge_bound": {
-            "passed": eb.passed,
-            "vacuous": eb.vacuous,
-            "e": eb.e,
-            "bound": eb.bound,
-        },
-    }
-    _emit(
-        doc,
-        args.format,
-        [
-            f"valid: {rep.valid}",
-            *(f"  {v.code}: {v.message}" for v in rep.violations),
-            f"edge bound: e={eb.e} <= {eb.bound}: {eb.passed}",
-        ],
-    )
-    return 0 if rep.valid and eb.passed else _CHECK_FAILED
+    g, d = _load_input(args.input)
+    valid, bound = _check_validate(g, d), _check_edge_bound(g, d)
+    (doc, lines), (bound_doc, bound_lines) = valid.doc(), bound.doc()
+    _emit({**doc, "edge_bound": bound_doc}, args.format, lines + bound_lines)
+    return 0 if valid.passed and bound.passed else _CHECK_FAILED
 
 
 def _cmd_triangulate(args) -> int:
-    d = _require_drawing(args.input)
-    T = canonical_triangulate(d)
+    T = canonical_triangulate(_need_drawing(_load_input(args.input)[1]))
     save_drawing(T.drawing, args.output)
-    prov = {
-        "added_kite_edges": [list(e) for e in T.added_kite_edges],
-        "removed_duplicates": [list(e) for e in T.removed_duplicates],
-        "temporarily_removed": [list(e) for e in T.temporarily_removed],
-        "added_fill_edges": [list(e) for e in T.added_fill_edges],
-    }
+    kinds = ("added_kite_edges", "removed_duplicates", "temporarily_removed", "added_fill_edges")
+    prov = {k: [list(e) for e in getattr(T, k)] for k in kinds}
     if args.provenance:
         Path(args.provenance).write_text(
             json.dumps(prov, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -202,7 +376,9 @@ def _cmd_triangulate(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    d = _require_drawing(args.input)
+    d = _need_drawing(_load_input(args.input)[1])
+    if not 0 <= args.vertex < d.n:
+        raise _InputError(f"vertex {args.vertex} is not a real vertex (n={d.n})")
     T = canonical_triangulate(d)
     c = classify_neighbors(T, args.vertex)
     obs = check_observations(T)
@@ -212,12 +388,7 @@ def _cmd_census(args) -> int:
         "labels": list(c.labels),
         "crossing_count": c.crossing_count,
         "mirror_triangles": [
-            {
-                "crossing": t.crossing,
-                "mirror": t.mirror,
-                "images": list(t.images),
-                "label": t.label,
-            }
+            {"crossing": t.crossing, "mirror": t.mirror, "images": list(t.images), "label": t.label}
             for t in c.mirror_triangles
         ],
         "segments": [
@@ -240,79 +411,26 @@ def _cmd_census(args) -> int:
     return 0
 
 
-def _graph_for(args) -> AbstractGraph:
-    g, _ = _load_input(args.input)
-    return g
-
-
 def _cmd_find_config(args) -> int:
-    cfg = find_configuration(_graph_for(args))
-    doc = {
-        "kind": cfg.kind,
-        "center": cfg.center,
-        "neighbors": list(cfg.neighbors),
-        "neighbor_degrees": list(cfg.neighbor_degrees),
-    }
-    _emit(doc, args.format, [f"{cfg.kind} at {cfg.center}, degrees {list(cfg.neighbor_degrees)}"])
-    return 0
+    return _finish(_check_find_config(*_load_input(args.input)), args.format)
 
 
 def _cmd_light(args) -> int:
-    g = _graph_for(args)
-    if args.shape == "p3":
-        u, v, w = find_light_path3(g)
-        doc = {"shape": "p3", "path": [u, v, w], "degrees": [g.degree(x) for x in (u, v, w)]}
-        lines = [f"path {u}-{v}-{w}, degrees {doc['degrees']}"]
-    else:
-        v, leaves = find_light_star3(g)
-        doc = {
-            "shape": "s3",
-            "center": v,
-            "leaves": list(leaves),
-            "degrees": [g.degree(v)] + [g.degree(x) for x in leaves],
-        }
-        lines = [f"star {v} -> {list(leaves)}, degrees {doc['degrees']}"]
-    _emit(doc, args.format, lines)
-    return 0
+    return _finish(_CHECKS[f"light-{args.shape}"](*_load_input(args.input)), args.format)
 
 
 def _cmd_discharge(args) -> int:
-    d = _require_drawing(args.input)
-    T = canonical_triangulate(d)
-    led0 = initial_charges(T)
-    led1 = apply_rules(T, led0)
-    rep = audit(led1)
+    out = _check_discharge(*_load_input(args.input))
     if args.transcript:
-        doc_t = [
+        _write_compact(args.transcript, [
             {"rule": t.rule, "from": _key(t.source), "to": _key(t.target), "amount": _frac(t.amount)}
-            for t in led1.transcript
-        ]
-        Path(args.transcript).write_text(
-            json.dumps(doc_t, sort_keys=True, indent=None, separators=(",", ":")) + "\n",
-            encoding="utf-8",
-        )
-    doc = {
-        "initial_total": _frac(led0.total()),
-        "final_total": _frac(rep.total),
-        "total_is_minus8": rep.total_is_minus8,
-        "special_faces": len(special_faces(T)),
-        "transfers": len(led1.transcript),
-        "negatives": [_key(k) for k in rep.negatives],
-        "vertex_charges": {str(v): _frac(c) for v, c in sorted(led1.vertex_charges().items())},
-    }
-    _emit(
-        doc,
-        args.format,
-        [f"total {_frac(rep.total)}, {len(rep.negatives)} negative elements"],
-    )
-    return 0 if rep.total_is_minus8 else _CHECK_FAILED
+            for t in out.value.transcript
+        ])
+    return _finish(out, args.format)
 
 
 def _coloring_doc(ec: EdgeColoring) -> dict:
-    return {
-        "L": ec.palette,
-        "edges": [[u, v, c] for (u, v), c in sorted(ec.assignment.items())],
-    }
+    return {"L": ec.palette, "edges": [[u, v, c] for (u, v), c in sorted(ec.assignment.items())]}
 
 
 def _coloring_from_doc(doc) -> EdgeColoring:
@@ -323,37 +441,25 @@ def _coloring_from_doc(doc) -> EdgeColoring:
 
 
 def _cmd_color(args) -> int:
-    g = _graph_for(args)
+    g, d = _load_input(args.input)
+    lists = None
     if args.lists:
         lists = _edge_records(_read_json(args.lists), "lists", _is_int_list, "colors")
-        ec = acyclic_edge_color_lists(g, lists)
-    else:
-        ec = acyclic_edge_color(g)
-    rep = verify_acyclic(g, ec)
-    doc = _coloring_doc(ec)
-    doc["colors_used"] = ec.num_colors()
-    doc["verified"] = rep.ok
+    out = _check_color(g, d, lists=lists)
     if args.output:
-        Path(args.output).write_text(
-            json.dumps(_coloring_doc(ec), sort_keys=True, indent=None, separators=(",", ":"))
-            + "\n",
-            encoding="utf-8",
-        )
-    _emit(doc, args.format, [f"{ec.num_colors()} colors of {ec.palette}, verified={rep.ok}"])
-    return 0 if rep.ok else _CHECK_FAILED
+        _write_compact(args.output, _coloring_doc(out.value))
+    return _finish(out, args.format)
 
 
 def _cmd_verify(args) -> int:
-    g = _graph_for(args)
+    g, _ = _load_input(args.input)
     ec = _coloring_from_doc(_read_json(args.coloring))
     rep = verify_acyclic(g, ec)
     doc = {
         "ok": rep.ok,
         "missing_edges": [list(e) for e in rep.missing_edges],
         "unknown_edges": [list(e) for e in rep.unknown_edges],
-        "properness_violations": [
-            [list(a), list(b)] for a, b in rep.properness_violations
-        ],
+        "properness_violations": [[list(a), list(b)] for a, b in rep.properness_violations],
         "bichromatic_cycles": [
             {"colors": [a, b], "cycle": list(cyc)} for a, b, cyc in rep.bichromatic_cycles
         ],
@@ -363,26 +469,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    g = _graph_for(args)
-    limit = args.limit if args.limit is not None else palette_size(g.max_degree())
-    value = oracle_chi_a(g, limit)
-    doc = {"limit": limit, "chi_a": value, "exceeded": value is None}
-    _emit(doc, args.format, [f"chi'_a = {value}" if value is not None else f"> {limit}"])
-    return 0 if value is not None else _CHECK_FAILED
+    return _finish(_check_oracle(*_load_input(args.input), limit=args.limit), args.format)
 
 
 def _cmd_gen(args) -> int:
     if args.kind == "named":
         if not args.name:
             raise _InputError("--name is required for --kind named")
-        d = named_instance(args.name)
-    elif args.kind == "plane_triangulation":
-        d = gen_plane_triangulation(args.n, args.seed)
-    elif args.kind == "random_oneplanar":
-        d = gen_random_oneplanar(args.n, Fraction(args.fraction), args.seed)
+        spec = {"kind": "named", "name": args.name}
     else:
-        raise _InputError(f"unknown generator kind {args.kind}")
-    save_drawing(d, args.output)
+        spec = {"kind": "gen", "generator": args.kind, "n": args.n, "seed": args.seed,
+                "fraction": args.fraction}
+    _, d, blob = _resolve_input(spec)
+    Path(args.output).write_bytes(blob)  # the drawing JSON, as save_drawing writes it
     doc = {
         "output": str(args.output),
         "n": d.n,
@@ -398,122 +497,37 @@ def _cmd_gen(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _suite_input(spec) -> tuple[AbstractGraph, OnePlanarDrawing | None, str]:
-    """Resolve a manifest input; returns (graph, drawing or None, sha256)."""
-    kind = spec.get("kind")
-    if kind == "named":
-        d = named_instance(spec["name"])
-        blob = write_drawing_json(d).encode()
-        return d.base, d, hashlib.sha256(blob).hexdigest()
-    if kind == "file":
-        path = spec["path"]
-        blob = Path(path).read_bytes()
-        g, d = _load_input(path)
-        return g, d, hashlib.sha256(blob).hexdigest()
-    if kind == "g6":
-        g = parse_graph6(spec["text"])
-        return g, None, hashlib.sha256(spec["text"].encode()).hexdigest()
-    if kind == "gen":
-        generator = spec.get("generator", "random_oneplanar")
-        if generator == "plane_triangulation":
-            d = gen_plane_triangulation(spec["n"], spec["seed"])
-        else:
-            d = gen_random_oneplanar(spec["n"], Fraction(spec.get("fraction", 0)), spec["seed"])
-        blob = write_drawing_json(d).encode()
-        return d.base, d, hashlib.sha256(blob).hexdigest()
-    raise _InputError(f"unknown input kind {kind!r}")
-
-
-def _run_check(check: str, entry: dict, g: AbstractGraph, d: OnePlanarDrawing | None) -> dict:
-    def need_drawing() -> OnePlanarDrawing:
-        if d is None:
-            raise _InputError("check needs a drawing input")
-        return d
-
-    try:
-        if check == "validate":
-            rep = validate_drawing(need_drawing())
-            return {
-                "check": check,
-                "status": "pass" if rep.valid else "fail",
-                "detail": {"violations": rep.codes()},
-            }
-        if check == "edge-bound":
-            eb = edge_bound_check(need_drawing())
-            return {
-                "check": check,
-                "status": "pass" if eb.passed else "fail",
-                "detail": {"e": eb.e, "bound": eb.bound},
-            }
-        if check == "triangulate":
-            T = canonical_triangulate(need_drawing())
-            ok = is_canonical(T.drawing)
-            idem = canonical_triangulate(T.drawing).drawing == T.drawing
-            return {
-                "check": check,
-                "status": "pass" if ok and idem else "fail",
-                "detail": {"canonical": ok, "idempotent": idem},
-            }
-        if check == "find-config":
-            cfg = find_configuration(g)
-            return {
-                "check": check,
-                "status": "pass",
-                "detail": {"kind": cfg.kind, "center": cfg.center},
-            }
-        if check == "light-p3":
-            u, v, w = find_light_path3(g)
-            return {"check": check, "status": "pass", "detail": {"path": [u, v, w]}}
-        if check == "light-s3":
-            v, leaves = find_light_star3(g)
-            return {
-                "check": check,
-                "status": "pass",
-                "detail": {"center": v, "leaves": list(leaves)},
-            }
-        if check == "discharge":
-            T = canonical_triangulate(need_drawing())
-            led = apply_rules(T, initial_charges(T))
-            rep = audit(led)
-            return {
-                "check": check,
-                "status": "pass" if rep.total_is_minus8 else "fail",
-                "detail": {"total": _frac(rep.total), "negatives": len(rep.negatives)},
-            }
-        if check == "color":
-            ec = acyclic_edge_color(g)
-            rep = verify_acyclic(g, ec)
-            return {
-                "check": check,
-                "status": "pass" if rep.ok and ec.num_colors() <= ec.palette else "fail",
-                "detail": {"colors_used": ec.num_colors(), "L": ec.palette},
-            }
-        if check == "oracle":
-            limit = entry.get("oracle_limit", palette_size(g.max_degree()))
-            value = oracle_chi_a(g, limit)
-            return {
-                "check": check,
-                "status": "pass" if value is not None else "fail",
-                "detail": {"chi_a": value, "limit": limit},
-            }
+def _run_check(check: str, g: AbstractGraph, d: OnePlanarDrawing | None, limit) -> dict:
+    fn = _CHECKS.get(check)
+    if fn is None:
         return {"check": check, "status": "error", "detail": {"message": "unknown check"}}
+    try:
+        out = fn(g, d, limit=limit)
     except OnePlanarError as exc:
         return {"check": check, "status": "fail", "detail": {"error": str(exc)}}
+    return {"check": check, "status": "pass" if out.passed else "fail", "detail": out.detail}
 
 
-def _run_entry(entry: dict) -> dict:
+def _run_entry(entry) -> dict:
+    """Run one manifest entry; a malformed entry is recorded as its input error."""
     t0 = time.perf_counter()
-    name = entry.get("name", "?")
+    name = entry.get("name", "?") if isinstance(entry, dict) else "?"
+    digest = None
     try:
-        g, d, digest = _suite_input(entry.get("input", {}))
-    except (OnePlanarError, OSError, KeyError) as exc:
-        return {
-            "name": name,
-            "input_digest": None,
-            "results": [{"check": "input", "status": "error", "detail": {"message": str(exc)}}],
-            "elapsed_s": round(time.perf_counter() - t0, 6),
-        }
-    results = [_run_check(c, entry, g, d) for c in entry.get("checks", [])]
+        if not isinstance(entry, dict):
+            raise _InputError(f"manifest entry must be an object, got {entry!r}")
+        checks = entry.get("checks", [])
+        if not isinstance(checks, list) or not all(isinstance(c, str) for c in checks):
+            raise _InputError(f"checks must be a list of check names, got {checks!r}")
+        limit = entry.get("oracle_limit")
+        if "oracle_limit" in entry and not _is_int(limit):
+            raise _InputError(f"oracle_limit must be an integer, got {limit!r}")
+        g, d, blob = _resolve_input(entry.get("input", {}))
+    except (OnePlanarError, OSError) as exc:
+        results = [{"check": "input", "status": "error", "detail": {"message": str(exc)}}]
+    else:
+        digest = hashlib.sha256(blob).hexdigest()
+        results = [_run_check(c, g, d, limit) for c in checks]
     return {
         "name": name,
         "input_digest": digest,
@@ -525,7 +539,10 @@ def _run_entry(entry: dict) -> dict:
 def run_suite(manifest: dict) -> dict:
     """Execute a manifest; report order always matches manifest order."""
     t0 = time.perf_counter()
-    results = [_run_entry(e) for e in manifest.get("entries", [])]
+    entries = manifest.get("entries", []) if isinstance(manifest, dict) else None
+    if not isinstance(entries, list):
+        raise _InputError("a manifest must be an object whose entries field is a list")
+    results = [_run_entry(e) for e in entries]
     failures = sum(
         1 for r in results for c in r["results"] if c["status"] in ("fail", "error")
     )
@@ -564,49 +581,32 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"oneplanar {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    def add(name, fn, help, *positional):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--format", choices=("json", "text"), default="json")
+        for arg in positional:
+            p.add_argument(arg)
         p.set_defaults(fn=fn)
         return p
 
-    p = add("validate", _cmd_validate, help="check drawing invariants and the edge bound")
-    p.add_argument("input")
-
-    p = add("triangulate", _cmd_triangulate, help="canonical triangulation of a drawing")
-    p.add_argument("input")
+    add("validate", _cmd_validate, "check drawing invariants and the edge bound", "input")
+    p = add("triangulate", _cmd_triangulate, "canonical triangulation of a drawing", "input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--provenance")
-
-    p = add("census", _cmd_census, help="neighbor census of one vertex")
-    p.add_argument("input")
+    p = add("census", _cmd_census, "neighbor census of one vertex", "input")
     p.add_argument("--vertex", type=int, required=True)
-
-    p = add("find-config", _cmd_find_config, help="find an unavoidable configuration")
-    p.add_argument("input")
-
-    p = add("light", _cmd_light, help="find a light 3-path or 3-star")
+    add("find-config", _cmd_find_config, "find an unavoidable configuration", "input")
+    p = add("light", _cmd_light, "find a light 3-path or 3-star", "input")
     p.add_argument("--shape", choices=("p3", "s3"), required=True)
-    p.add_argument("input")
-
-    p = add("discharge", _cmd_discharge, help="run the charge rules and audit totals")
-    p.add_argument("input")
+    p = add("discharge", _cmd_discharge, "run the charge rules and audit totals", "input")
     p.add_argument("--transcript")
-
-    p = add("color", _cmd_color, help="acyclic edge coloring within the palette bound")
-    p.add_argument("input")
+    p = add("color", _cmd_color, "acyclic edge coloring within the palette bound", "input")
     p.add_argument("--lists")
     p.add_argument("-o", "--output")
-
-    p = add("verify", _cmd_verify, help="verify a coloring file against a graph")
-    p.add_argument("input")
-    p.add_argument("coloring")
-
-    p = add("oracle", _cmd_oracle, help="exact acyclic chromatic index (small graphs)")
-    p.add_argument("input")
+    add("verify", _cmd_verify, "verify a coloring file against a graph", "input", "coloring")
+    p = add("oracle", _cmd_oracle, "exact acyclic chromatic index (small graphs)", "input")
     p.add_argument("--limit", type=int)
-
-    p = add("gen", _cmd_gen, help="generate a drawing")
+    p = add("gen", _cmd_gen, "generate a drawing")
     p.add_argument("--kind", required=True,
                    choices=("plane_triangulation", "random_oneplanar", "named"))
     p.add_argument("--n", type=int, default=0)
@@ -614,11 +614,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fraction", default="0")
     p.add_argument("--name", choices=NAMED_INSTANCES)
     p.add_argument("-o", "--output", required=True)
-
-    p = add("run-suite", _cmd_run_suite, help="run every check listed in a manifest")
-    p.add_argument("manifest")
+    p = add("run-suite", _cmd_run_suite, "run every check listed in a manifest", "manifest")
     p.add_argument("--report")
-
     return ap
 
 

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Collection
 
-from .model import AbstractGraph, Edge, OnePlanarError, normalize_edge
+from .model import AbstractGraph, OnePlanarError
 from .triangulation import CanonicalTriangulation
 
 LIGHT_DEGREE_MAX = 7

@@ -129,32 +129,99 @@ def test_missing_file_is_usage_error():
     assert r.returncode == 2
 
 
+ALL_CHECKS = ["validate", "edge-bound", "triangulate", "find-config", "light-p3", "light-s3",
+              "discharge", "color", "oracle"]
+
+
 def test_run_suite(tmp_path):
+    k6 = AbstractGraph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)])
     k9 = AbstractGraph(9, [(i, j) for i in range(9) for j in range(i + 1, 9)])
     manifest = {
         "entries": [
-            {
-                "name": "octahedron",
-                "input": {"kind": "named", "name": "octahedron"},
-                "checks": ["validate", "edge-bound", "triangulate", "find-config",
-                           "light-p3", "discharge", "color", "oracle"],
-            },
-            {
-                "name": "k9",
-                "input": {"kind": "g6", "text": write_graph6(k9)},
-                "checks": ["find-config"],
-            },
+            {"name": "octahedron", "input": {"kind": "named", "name": "octahedron"},
+             "checks": ALL_CHECKS},
+            {"name": "k6", "input": {"kind": "g6", "text": write_graph6(k6)},
+             "checks": ALL_CHECKS},
+            {"name": "k9", "input": {"kind": "g6", "text": write_graph6(k9)},
+             "checks": ["find-config"]},
         ]
     }
     mpath = tmp_path / "manifest.json"
     mpath.write_text(json.dumps(manifest), encoding="utf-8")
     r = run_cli("run-suite", str(mpath), "--report", str(tmp_path / "rep.json"))
-    assert r.returncode == 1  # the K9 NotFound is a recorded failure
+    assert r.returncode == 1  # recorded failures
     rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["failures"] == 1
-    octa = rep["entries"][0]
-    assert all(c["status"] == "pass" for c in octa["results"])
-    assert rep["entries"][1]["results"][0]["status"] == "fail"
+    assert r.stdout == json.dumps(rep, sort_keys=True, indent=2) + "\n"
+    got = {
+        e["name"]: (e["input_digest"], [(c["check"], c["status"], c["detail"]) for c in e["results"]])
+        for e in rep["entries"]
+    }
+    assert got["octahedron"] == (
+        "b7f5c936a128e4e1b792c56e28383073a6dc9ff411e00ceee11ee5db023bba45",
+        [
+            ("validate", "pass", {"violations": []}),
+            ("edge-bound", "pass", {"e": 12, "bound": 16}),
+            ("triangulate", "pass", {"canonical": True, "idempotent": True}),
+            ("find-config", "pass", {"kind": "C3", "center": 0}),
+            ("light-p3", "pass", {"path": [1, 0, 2]}),
+            ("light-s3", "fail", {"error": "light 3-star needs minimum degree 5, got 4"}),
+            ("discharge", "pass", {"total": "-8", "negatives": 6}),
+            ("color", "pass", {"colors_used": 8, "L": 87}),
+            ("oracle", "pass", {"chi_a": 6, "limit": 87}),
+        ],
+    )
+    no_drawing = ("fail", {"error": "check needs a drawing input"})
+    assert got["k6"] == (
+        "e121f3992397cffbc3605e987622659508b857c1b5229ea8c37f819d76ca0ce2",
+        [
+            ("validate", *no_drawing),
+            ("edge-bound", *no_drawing),
+            ("triangulate", *no_drawing),
+            ("find-config", "pass", {"kind": "C4", "center": 0}),
+            ("light-p3", "pass", {"path": [1, 0, 2]}),
+            ("light-s3", "pass", {"center": 0, "leaves": [1, 2, 3]}),
+            ("discharge", *no_drawing),
+            ("color", "pass", {"colors_used": 11, "L": 88}),
+            ("oracle", "pass", {"chi_a": 7, "limit": 88}),
+        ],
+    )
+    assert got["k9"][1] == [
+        ("find-config", "fail",
+         {"error": "no vertex matches any configuration; the input is not 1-planar (or a bug)"}),
+    ]
+    assert rep["failures"] == 6
+
+
+OCTAHEDRON_DOCS = {
+    ("validate",): {
+        "valid": True,
+        "violations": [],
+        "stats": {"components": 1, "crossings": 0, "e": 12, "e_planarization": 12, "faces": 8,
+                  "genus": 0, "n": 6},
+        "edge_bound": {"passed": True, "vacuous": False, "e": 12, "bound": 16},
+    },
+    ("find-config",): {
+        "kind": "C3", "center": 0, "neighbors": [1, 2, 3, 5], "neighbor_degrees": [4, 4, 4, 4],
+    },
+    ("light", "--shape", "p3"): {"shape": "p3", "path": [1, 0, 2], "degrees": [4, 4, 4]},
+    ("discharge",): {
+        "initial_total": "-8",
+        "final_total": "-8",
+        "total_is_minus8": True,
+        "special_faces": 0,
+        "transfers": 24,
+        "negatives": [f"v{v}" for v in range(6)],
+        "vertex_charges": {str(v): "-4/3" for v in range(6)},
+    },
+    ("oracle",): {"limit": 87, "chi_a": 6, "exceeded": False},
+}
+
+
+@pytest.mark.parametrize("command", list(OCTAHEDRON_DOCS), ids=" ".join)
+def test_subcommand_documents(octa_file, command):
+    r = run_cli(*command, str(octa_file))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == json.dumps(OCTAHEDRON_DOCS[command], sort_keys=True, indent=2) + "\n"
 
 
 def test_run_suite_empty_manifest(tmp_path):
@@ -229,3 +296,49 @@ def test_short_coloring_record_is_unusable_input(octa_file, tmp_path):
     col = tmp_path / "coloring.json"
     col.write_text(json.dumps({"L": 6, "edges": [[0, 1]]}), encoding="utf-8")
     _assert_input_error(run_cli("verify", str(octa_file), str(col)))
+
+
+GOOD_ENTRY = {"name": "good", "input": {"kind": "named", "name": "octahedron"},
+              "checks": ["validate"]}
+
+
+@pytest.mark.parametrize("bad", [
+    {"name": "bad", "input": {"kind": "gen", "n": "ten", "seed": 1}, "checks": ["validate"]},
+    {"name": "bad", "input": {"kind": "g6", "text": 5}, "checks": ["find-config"]},
+    "oops",
+    {"name": "bad", "input": {"kind": "file", "path": "a\u0000b.json"}, "checks": ["validate"]},
+    {"name": "bad", "input": {"kind": "named", "name": "k4"}, "checks": ["oracle"],
+     "oracle_limit": "9"},
+], ids=["gen-n-string", "g6-text-int", "entry-string", "path-nul", "oracle-limit-string"])
+def test_run_suite_wrong_typed_entry_is_recorded(tmp_path, bad):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"entries": [bad, GOOD_ENTRY]}), encoding="utf-8")
+    r = run_cli("run-suite", str(mpath))
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["failures"] == 1
+    bad_entry, good_entry = rep["entries"]
+    assert bad_entry["input_digest"] is None
+    assert [c["check"] for c in bad_entry["results"]] == ["input"]
+    assert bad_entry["results"][0]["status"] == "error"
+    assert good_entry["results"] == [{"check": "validate", "status": "pass",
+                                      "detail": {"violations": []}}]
+
+
+@pytest.mark.parametrize("manifest", [[], {"entries": {"name": "x"}}], ids=["list", "entries-dict"])
+def test_malformed_manifest_is_unusable_input(tmp_path, manifest):
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps(manifest), encoding="utf-8")
+    _assert_input_error(run_cli("run-suite", str(mpath)))
+
+
+@pytest.mark.parametrize("fraction", ["abc", "1/0"])
+def test_gen_bad_fraction_is_unusable_input(tmp_path, fraction):
+    out = tmp_path / "d.json"
+    _assert_input_error(run_cli("gen", "--kind", "random_oneplanar", "--n", "10",
+                                "--fraction", fraction, "-o", str(out)))
+    assert not out.exists()
+
+
+def test_census_vertex_out_of_range_is_unusable_input(octa_file):
+    _assert_input_error(run_cli("census", str(octa_file), "--vertex", "99"))
