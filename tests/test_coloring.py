@@ -123,6 +123,36 @@ def test_verify_detects_bichromatic_cycle():
     assert len(rep.bichromatic_cycles) == 1
     a, b, cyc = rep.bichromatic_cycles[0]
     assert (a, b) == (1, 2) and sorted(cyc) == [0, 1, 2, 3]
+    assert rep.bichromatic_cycles == ((1, 2, (0, 1, 2, 3)),)
+
+
+def test_verify_witness_contract():
+    # (1,2): two disjoint cycles, 3-8-4-9 and 1-5-2-6; (1,3): one cycle
+    # 0-12-11-10; (2,3): only paths (14-10-0 and 2-5-13).  One entry per
+    # cyclic pair, pairs ascending, each cycle from the smallest vertex on
+    # any cycle of its pair, walked color a first.
+    colors = {
+        (3, 8): 1, (4, 8): 2, (4, 9): 1, (3, 9): 2,
+        (1, 6): 2, (2, 6): 1, (2, 5): 2, (1, 5): 1,
+        (0, 10): 3, (10, 11): 1, (11, 12): 3, (0, 12): 1,
+        (10, 14): 2, (5, 13): 3,
+    }
+    g = AbstractGraph(15, list(colors))
+    rep = verify_acyclic(g, EdgeColoring(colors, 85))
+    assert not rep.ok and not (rep.missing_edges or rep.unknown_edges or rep.properness_violations)
+    assert rep.bichromatic_cycles == ((1, 2, (1, 5, 2, 6)), (1, 3, (0, 12, 11, 10)))
+
+
+def test_verify_ignores_colored_non_edges_in_cycle_search():
+    # (0,2) is not an edge of the path; it closes no cycle of the graph
+    g = path_graph(3)
+    rep = verify_acyclic(g, EdgeColoring({(0, 1): 0, (1, 2): 1, (0, 2): 0}, 85))
+    assert not rep.ok and rep.unknown_edges == ((0, 2),) and rep.bichromatic_cycles == ()
+    # a real cycle is still reported next to a colored non-edge
+    g = cycle_graph(4)
+    bad = {(0, 1): 1, (1, 2): 2, (2, 3): 1, (0, 3): 2, (0, 2): 1, (1, 7): 2}
+    rep = verify_acyclic(g, EdgeColoring(bad, 85))
+    assert rep.unknown_edges == ((0, 2), (1, 7)) and rep.bichromatic_cycles == ((1, 2, (0, 1, 2, 3)),)
 
 
 def test_verify_accepts_acyclic():
