@@ -5,11 +5,19 @@ The constructive algorithm eliminates vertices one at a time (degree <= 2
 first, otherwise the smallest-id vertex carrying one of the unavoidable
 small-degree configurations, bridging its two largest neighbors with an
 auxiliary edge when they are non-adjacent), then replays the plan in
-reverse, coloring the returning vertex's edges from palette 0..L-1 with
-L = max(2*maxdeg - 2, maxdeg + 83).  Every color choice is the smallest
-admissible one; each extension is checked for new bichromatic cycles and
-bounded backtracking inside the same admissible sets handles any failure,
-with exhaustion surfaced as ExtensionFailed rather than papered over.
+reverse with L = max(2*maxdeg - 2, maxdeg + 83).  A returning vertex v
+with neighbors v_1..v_d (ascending by degree at plan time, then id) colors
+its edges in the order v_{d-1}, v_d, v_1, ..., v_{d-2}.  Each edge draws
+from one admissible set: the palette 0..L-1 (or the edge's own list) minus
+the colors already placed at v and minus the colors seen before the step
+at a range of neighbors -- v_{d-1} and v_d for position 0, v_1..v_{d-2}
+and v_d for position 1, and v_{p-1}..v_{d-1} for position p >= 2.  A step
+that added an auxiliary edge gives its color to the first edge instead.
+Every color choice is the smallest admissible one; each extension is
+checked for new bichromatic cycles and bounded backtracking inside the
+same admissible sets handles any failure, with exhaustion surfaced as
+ExtensionFailed rather than papered over.  StepStats' set sizes and
+literal_bound are filled for configuration steps only.
 """
 
 from __future__ import annotations
@@ -77,38 +85,39 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
     when not already adjacent, which keeps later steps' degree queries
     consistent with the reverse replay.
     """
-    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(g.n)}
-    alive: set[int] = set(range(g.n))
+    n = g.n
+    adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(n)}
+    alive: set[int] = set(range(n))
 
     def degree(u: int) -> int:
         return len(adj[u])
 
-    low: list[tuple[int, int]] = []
-    cfg: list[int] = []
+    # entries (degree, v) for degree <= 2 and (3, v) for configuration
+    # centers, packed as k * n + v so the heap compares plain ints; every
+    # live vertex of degree <= 2 keeps a valid entry, so all of them are
+    # taken before any center
+    heap: list[int] = []
+
+    def push(u: int) -> None:
+        deg = len(adj[u])
+        if deg <= 2:
+            heapq.heappush(heap, deg * n + u)
+        elif matches_configuration(adj[u], degree):
+            heapq.heappush(heap, 3 * n + u)
+
     for v in alive:
-        if len(adj[v]) <= 2:
-            heapq.heappush(low, (len(adj[v]), v))
-        elif matches_configuration(adj[v], degree):
-            heapq.heappush(cfg, v)
+        push(v)
 
     steps: list[PlanStep] = []
     while alive:
-        v = -1
-        case = ""
-        while low:
-            deg0, v0 = low[0]
-            if v0 in alive and len(adj[v0]) == deg0 and deg0 <= 2:
-                v, case = v0, "deg2"
+        while heap:
+            k, v = divmod(heap[0], n)
+            if v in alive and (
+                len(adj[v]) == k if k <= 2 else matches_configuration(adj[v], degree)
+            ):
                 break
-            heapq.heappop(low)
-        if v < 0:
-            while cfg:
-                v0 = cfg[0]
-                if v0 in alive and matches_configuration(adj[v0], degree):
-                    v, case = v0, "config"
-                    break
-                heapq.heappop(cfg)
-        if v < 0:
+            heapq.heappop(heap)
+        else:
             raise ConfigurationNotFound(
                 "no vertex of degree <= 2 and no configuration center; "
                 "the input is not 1-planar (or a bug)"
@@ -116,13 +125,13 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
         nbrs = sorted(adj[v], key=lambda u: (len(adj[u]), u))
         aux = None
         aux_added = False
-        if case == "deg2":
-            kind = None
+        if k <= 2:
+            case, kind = "deg2", None
             if len(nbrs) == 2:
                 aux = (nbrs[0], nbrs[1])
                 aux_added = nbrs[1] not in adj[nbrs[0]]
         else:
-            kind = f"C{len(nbrs) - 1}"
+            case, kind = "config", f"C{len(nbrs) - 1}"
             aux = (nbrs[-2], nbrs[-1])
             aux_added = nbrs[-1] not in adj[nbrs[-2]]
         steps.append(PlanStep(v, case, kind, tuple(nbrs), aux, aux_added))
@@ -142,11 +151,7 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
                 touched.update(adj[u])
         touched &= alive
         for u in touched:
-            deg = len(adj[u])
-            if deg <= 2:
-                heapq.heappush(low, (deg, u))
-            elif matches_configuration(adj[u], degree):
-                heapq.heappush(cfg, u)
+            push(u)
     return EliminationPlan(tuple(steps))
 
 
@@ -178,9 +183,9 @@ class StepStats:
     td_size: int | None = None
     literal_bound: int | None = None
     middle_sizes: list[int] = field(default_factory=list)  # first-seen, by position
-    # sizes before excluding colors already placed on earlier edges of this
-    # step (these are monotone along the edge order; the executed sets can
-    # dip by one per placed color)
+    # sizes excluding, like t1_size, only the colors of the first two edges
+    # (these are monotone along the edge order; the executed sets can dip by
+    # one per further placed color)
     middle_raw_sizes: list[int] = field(default_factory=list)
 
 
@@ -220,9 +225,6 @@ class _State:
         del self.colors[u][c]
         del self.colors[v][c]
 
-    def palette_at(self, v: int) -> set[int]:
-        return set(self.colors[v])
-
 
 def _alternating_reaches(
     colors: Sequence[Mapping[int, int]], start: int, target: int, want: int, other: int
@@ -241,27 +243,9 @@ def _alternating_reaches(
     return False
 
 
-def _creates_cycle_at(state: _State, v: int, u_new: int, c_new: int, u_old: int, c_old: int) -> bool:
-    """Would edges (v,u_new)=c_new and (v,u_old)=c_old close a bichromatic cycle?
-
-    Called with (v,u_new) not yet in the state; the cycle exists iff an
-    alternating c_old/c_new path runs from u_new to v (necessarily arriving
-    through u_old).
-    """
-    return _alternating_reaches(state.colors, u_new, v, c_old, c_new)
-
-
 # --------------------------------------------------------------------------
 # the constructive algorithm
 # --------------------------------------------------------------------------
-
-
-def _candidates(
-    allowed: Sequence[int] | None, forbidden: set[int], L: int
-) -> list[int]:
-    if allowed is None:
-        return [c for c in range(L) if c not in forbidden]
-    return [c for c in allowed if c not in forbidden]
 
 
 def _extend_step(
@@ -279,132 +263,85 @@ def _extend_step(
     d = len(nbrs)
     if d == 0:
         return
+    # edges to v_{d-1}, v_d, v_1, ..., v_{d-2}; each position's forbidden
+    # colors are the pre-step colors seen at a range of neighbors
+    order = nbrs[-2:] + nbrs[:-2]
+    phi = [state.colors[u] for u in nbrs]
+    seen = [set().union(*phi[-2:]), set().union(*phi[: d - 2], phi[-1])]
+    seen += [set().union(*phi[p - 2 : d - 1]) for p in range(2, d)]
+    allowed = [range(L) if edge_lists is None else edge_lists[normalize_edge(v, u)] for u in order]
 
-    def allowed_for(u: int) -> tuple[int, ...] | None:
-        if edge_lists is None:
-            return None
-        return edge_lists[normalize_edge(v, u)]
-
-    phi: dict[int, set[int]] = {u: state.palette_at(u) for u in nbrs}
-
-    aux_color: int | None = None
     if step.aux_added:
         a, b = step.aux
         aux_color = state.edge_color[normalize_edge(a, b)]
         state.unassign(a, b)
-
-    if d == 1:
-        order = [nbrs[0]]
-        cand_sets = [_candidates(allowed_for(nbrs[0]), phi[nbrs[0]], L)]
-    elif d == 2:
-        n1, n2 = nbrs
-        order = [n1, n2]
-        if step.aux_added:
-            first = [aux_color] if (
-                edge_lists is None or aux_color in edge_lists[normalize_edge(v, n1)]
-            ) else []
-            cand_sets = [first, None]  # second computed after first is chosen
-        else:
-            cand_sets = [_candidates(allowed_for(n1), phi[n1] | phi[n2], L), None]
+        first = [aux_color] if aux_color in allowed[0] else []
     else:
-        vd1, vd = nbrs[-2], nbrs[-1]
-        order = [vd1, vd, nbrs[0]] + list(nbrs[1 : d - 2])
-        s_d = set().union(*(phi[u] for u in nbrs[: d - 2]), phi[vd])
-        s_1 = set().union(*(phi[u] for u in nbrs[: d - 1]))
-        if step.aux_added:
-            first = [aux_color] if (
-                edge_lists is None or aux_color in edge_lists[normalize_edge(v, vd1)]
-            ) else []
-        else:
-            first = _candidates(allowed_for(vd1), phi[vd1] | phi[vd], L)
-        cand_sets = [first] + [None] * (d - 1)
+        first = [c for c in allowed[0] if c not in seen[0]]
+
+    config = step.case == "config"
+    if config:
         ceilings = CONFIG_BOUNDS[7]  # the full row, (8, 11, 14, 19, 35)
         stats.literal_bound = L - (sum(c - 1 for c in ceilings[: d - 2]) + maxdeg)
 
     chosen: list[int] = []
     attempts = 0
 
-    def _assert_bound(size: int, which: str) -> None:
-        # size guarantee min(|T_1|, |T_d|) >= L - (sum(c_k - 1) + maxdeg) > 0,
-        # with ceilings (8, 11, 14, 19, 35); violations are findings, not passes
-        bound = stats.literal_bound
-        if bound is not None and (size < bound or size <= 0):
-            raise ExtensionFailed(
-                index,
-                v,
-                f"admissible-set size bound violated: {which} set has {size} "
-                f"colors, guarantee is {bound}",
-            )
-
-    def candidates_at(pos: int) -> list[int]:
-        if d == 2:
-            if pos == 0:
-                return cand_sets[0]
-            n2 = nbrs[1]
-            return _candidates(allowed_for(n2), phi[n2] | {chosen[0]}, L)
-        if d >= 3:
-            if pos == 0:
-                return cand_sets[0]
-            if pos == 1:
-                cands = _candidates(allowed_for(order[1]), s_d | {chosen[0]}, L)
-                stats.td_size = len(cands)
-                _assert_bound(len(cands), "last-edge")
-                return cands
-            if pos == 2:
-                cands = _candidates(
-                    allowed_for(order[2]), s_1 | {chosen[0], chosen[1]}, L
-                )
-                stats.t1_size = len(cands)
-                _assert_bound(len(cands), "first-edge")
-                return cands
-            i = pos - 1  # order[pos] is nbrs[i] for 2 <= i <= d-2
-            s_i = set().union(*(phi[u] for u in nbrs[i - 1 : d - 1]))
-            cands = _candidates(allowed_for(order[pos]), s_i | set(chosen), L)
-            if len(stats.middle_sizes) == pos - 3:
-                stats.middle_sizes.append(len(cands))
-                raw = _candidates(
-                    allowed_for(order[pos]), s_i | {chosen[0], chosen[1]}, L
-                )
-                stats.middle_raw_sizes.append(len(raw))
-            return cands
-        return cand_sets[pos]
-
     def search(pos: int) -> bool:
         nonlocal attempts
         if pos == d:
             return True
         u = order[pos]
-        for c in candidates_at(pos):
+        if pos == 0:
+            cands = first
+        else:
+            forbidden = seen[pos].union(chosen)
+            cands = [c for c in allowed[pos] if c not in forbidden]
+        if config and pos in (1, 2):
+            # size guarantee min(|T_1|, |T_d|) >= L - (sum(c_k - 1) + maxdeg) > 0,
+            # with ceilings (8, 11, 14, 19, 35); violations are findings, not passes
+            if pos == 1:
+                stats.td_size, which = len(cands), "last-edge"
+            else:
+                stats.t1_size, which = len(cands), "first-edge"
+            if len(cands) < stats.literal_bound or not cands:
+                raise ExtensionFailed(
+                    index,
+                    v,
+                    f"admissible-set size bound violated: {which} set has {len(cands)} "
+                    f"colors, guarantee is {stats.literal_bound}",
+                )
+        elif config and len(stats.middle_sizes) == pos - 3:
+            stats.middle_sizes.append(len(cands))
+            raw = seen[pos].union(chosen[:2])
+            stats.middle_raw_sizes.append(len([c for c in allowed[pos] if c not in raw]))
+        for c in cands:
             attempts += 1
             if attempts > budget:
                 raise ExtensionFailed(
                     index, v, f"backtracking budget {budget} exhausted"
                 )
-            if c in state.colors[u] or c in state.colors[v]:
-                continue
-            ok = True
             for q in range(pos):
-                if _creates_cycle_at(state, v, u, c, order[q], chosen[q]):
-                    ok = False
+                # (v,u)=c and (v,order[q])=chosen[q] close a bichromatic cycle
+                # iff an alternating chosen[q]/c path runs from u to v
+                if _alternating_reaches(state.colors, u, v, chosen[q], c):
                     break
-            if not ok:
-                continue
-            state.assign(v, u, c)
-            chosen.append(c)
-            if search(pos + 1):
-                return True
-            chosen.pop()
-            state.unassign(v, u)
+            else:
+                state.assign(v, u, c)
+                chosen.append(c)
+                if search(pos + 1):
+                    return True
+                chosen.pop()
+                state.unassign(v, u)
         return False
 
     done = search(0)
     stats.attempts = attempts
     if not done:
-        sizes = [len(candidates_at(0))]
         raise ExtensionFailed(
             index,
             v,
-            f"admissible sets exhausted (first-edge candidates: {sizes[0]}, "
+            f"admissible sets exhausted (first-edge candidates: {len(first)}, "
             f"degree {d})",
         )
 
@@ -575,27 +512,16 @@ def _search_order(g: AbstractGraph) -> list[Edge]:
     """Edges ordered so each touches an earlier one when possible."""
     remaining = set(g.edges)
     order: list[Edge] = []
-    active: list[int] = []
     seen_v: set[int] = set()
     while remaining:
-        if not active:
-            e = min(remaining)
-            order.append(e)
-            remaining.remove(e)
-            seen_v.update(e)
-            active = [e[0], e[1]]
-            continue
-        pick = None
         for e in sorted(remaining):
             if e[0] in seen_v or e[1] in seen_v:
-                pick = e
                 break
-        if pick is None:
-            active = []
-            continue
-        order.append(pick)
-        remaining.remove(pick)
-        seen_v.update(pick)
+        else:
+            e = min(remaining)
+        order.append(e)
+        remaining.remove(e)
+        seen_v.update(e)
     return order
 
 

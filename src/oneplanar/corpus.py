@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .embedding import MutableEmbedding
 from .model import (
@@ -86,6 +86,13 @@ def _drawing_from_embedding(
     return OnePlanarDrawing(base, crossings, rotation)
 
 
+def _plane_drawing(rotation: Sequence[Sequence[int]]) -> OnePlanarDrawing:
+    """Crossing-free drawing whose edges are read from its rotation system."""
+    n = len(rotation)
+    edges = [(u, v) for u in range(n) for v in rotation[u] if u < v]
+    return OnePlanarDrawing(AbstractGraph(n, edges), [], rotation)
+
+
 def gen_plane_triangulation(n: int, seed: int) -> OnePlanarDrawing:
     """Random maximal planar graph (e = 3n - 6) with its rotation system.
 
@@ -94,9 +101,7 @@ def gen_plane_triangulation(n: int, seed: int) -> OnePlanarDrawing:
     """
     if n < 3:
         raise GenerationError(f"plane triangulation needs n >= 3, got {n}")
-    emb = _grow_triangulation(n, XorShift64Star(seed))
-    edges = [normalize_edge(u, v) for u in emb.rot for v in emb.rot[u] if u < v]
-    return _drawing_from_embedding(n, emb, edges, [])
+    return _plane_drawing(_grow_triangulation(n, XorShift64Star(seed)).rotations(range(n)))
 
 
 def gen_random_oneplanar(
@@ -117,7 +122,7 @@ def gen_random_oneplanar(
         raise GenerationError(f"crossing fraction {frac} outside [0, 1]")
     rng = XorShift64Star(seed)
     emb = _grow_triangulation(n, rng)
-    gadj: set[Edge] = {normalize_edge(u, v) for u in emb.rot for v in emb.rot[u] if u < v}
+    gadj: set[Edge] = {(u, v) for u in emb.rot for v in emb.rot[u] if u < v}
     candidates = sorted(gadj)
     crossed: set[Edge] = set()
     crossings: list[Crossing] = []
@@ -182,25 +187,6 @@ _ICOSAHEDRON_ROT = [
 ]
 
 
-def _build_k3() -> OnePlanarDrawing:
-    return OnePlanarDrawing(AbstractGraph(3, [(0, 1), (1, 2), (0, 2)]), [], _K3_ROT)
-
-
-def _build_k4() -> OnePlanarDrawing:
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    return OnePlanarDrawing(AbstractGraph(4, edges), [], _K4_ROT)
-
-
-def _build_octahedron() -> OnePlanarDrawing:
-    edges = [normalize_edge(u, v) for u in range(6) for v in _OCTAHEDRON_ROT[u] if u < v]
-    return OnePlanarDrawing(AbstractGraph(6, edges), [], _OCTAHEDRON_ROT)
-
-
-def _build_icosahedron() -> OnePlanarDrawing:
-    edges = [normalize_edge(u, v) for u in range(12) for v in _ICOSAHEDRON_ROT[u] if u < v]
-    return OnePlanarDrawing(AbstractGraph(12, edges), [], _ICOSAHEDRON_ROT)
-
-
 def _build_kite() -> OnePlanarDrawing:
     """Two edges crossing once: the minimal 1-planar drawing with a crossing."""
     base = AbstractGraph(4, [(0, 1), (2, 3)])
@@ -221,10 +207,10 @@ def _build_k6_1planar() -> OnePlanarDrawing:
 
 
 _NAMED = {
-    "k3": _build_k3,
-    "k4": _build_k4,
-    "octahedron": _build_octahedron,
-    "icosahedron": _build_icosahedron,
+    "k3": lambda: _plane_drawing(_K3_ROT),
+    "k4": lambda: _plane_drawing(_K4_ROT),
+    "octahedron": lambda: _plane_drawing(_OCTAHEDRON_ROT),
+    "icosahedron": lambda: _plane_drawing(_ICOSAHEDRON_ROT),
     "k6_1planar": _build_k6_1planar,
     "kite": _build_kite,
 }

@@ -325,17 +325,8 @@ class ValidationReport:
         return [v.code for v in self.violations]
 
 
-def _expected_planarization(d: OnePlanarDrawing) -> list[set[int]] | None:
-    """Expected neighbor sets in the planarization, or None if ambiguous."""
-    n = d.n
-    counts: dict[Edge, int] = {}
-    for c in d.crossings:
-        for e in (c.e1, c.e2):
-            counts[e] = counts.get(e, 0) + 1
-    if any(k > 1 for k in counts.values()):
-        return None
-    if any(e not in d.base.edges for e in counts):
-        return None
+def _expected_planarization(d: OnePlanarDrawing) -> list[set[int]]:
+    """Expected neighbor sets in the planarization of unambiguous records."""
     expected: list[set[int]] = [set() for _ in range(d.planarization_size)]
     for u, v in d.base.edges:
         z = d.crossing_of_edge(u, v)
@@ -370,10 +361,12 @@ def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
                 )
             )
     counts: dict[Edge, list[int]] = {}
+    ambiguous = False
     for i, c in enumerate(d.crossings):
         for e in (c.e1, c.e2):
             counts.setdefault(e, []).append(n + i)
             if e not in d.base.edges:
+                ambiguous = True
                 out.append(
                     Violation(
                         "crossed-edge-missing",
@@ -382,6 +375,7 @@ def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
                 )
     for e, zs in counts.items():
         if len(zs) > 1:
+            ambiguous = True
             out.append(
                 Violation(
                     "edge-crossed-twice",
@@ -399,9 +393,9 @@ def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
         "faces": 0,
     }
 
-    expected = _expected_planarization(d)
-    if expected is None:
+    if ambiguous:
         return ValidationReport(tuple(out), stats)
+    expected = _expected_planarization(d)
 
     coverage_ok = True
     for w in range(d.planarization_size):

@@ -31,8 +31,6 @@ CONFIG_BOUNDS: dict[int, tuple[int, ...]] = {
     7: (8, 11, 14, 19, 35),
 }
 
-CONFIG_KINDS = ("C1", "C2", "C3", "C4", "C5", "C6")
-
 
 class ConfigurationNotFound(OnePlanarError):
     """No vertex matches any configuration; the graph cannot be 1-planar."""

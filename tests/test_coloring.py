@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +14,13 @@ from oneplanar import (
     acyclic_edge_color_lists,
     build_elimination_plan,
     color_run,
+    gen_random_oneplanar,
     named_instance,
     oracle_chi_a,
     palette_size,
     verify_acyclic,
 )
-from oneplanar.coloring import EdgeColoring, ListTooSmall
+from oneplanar.coloring import EdgeColoring, ExtensionFailed, ListTooSmall
 from oneplanar.corpus import XorShift64Star
 from oneplanar.structure import ConfigurationNotFound
 
@@ -271,6 +276,132 @@ def test_bound_diagnostics_clean_on_corpus(corpus_drawings):
 def test_deterministic_assignment():
     g = named_instance("icosahedron").base
     assert acyclic_edge_color(g).assignment == acyclic_edge_color(g).assignment
+
+
+# (n, crossing fraction, seed) of the drawings whose coloring runs are pinned
+PIN_SPECS = [
+    (10, Fraction(0), 11),
+    (40, Fraction(1, 4), 12),
+    (90, Fraction(1, 2), 13),
+    (150, Fraction(1), 14),
+    (250, Fraction(1, 4), 15),
+    (400, Fraction(1, 2), 16),
+]
+
+
+def _seeded_lists(g: AbstractGraph, seed: int) -> dict:
+    """Per-edge lists of L colors drawn from 0..2L-1."""
+    L = palette_size(g.max_degree())
+    rng = XorShift64Star(seed)
+    lists = {}
+    for e in sorted(g.edges):
+        pool = list(range(2 * L))
+        lists[e] = [pool.pop(rng.below(len(pool))) for _ in range(L)]
+    return lists
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _pin_digests(n: int, frac: Fraction, seed: int, with_lists: bool) -> tuple[str, str, str]:
+    g = gen_random_oneplanar(n, frac, seed).base
+    run = color_run(g, _seeded_lists(g, seed) if with_lists else None)
+    return (
+        _sha(sorted(run.coloring.assignment.items())),
+        _sha(run.plan.steps),
+        _sha([dataclasses.asdict(s) for s in run.step_stats]),
+    )
+
+
+# sha256 of (sorted assignment, plan steps, asdict of every StepStats)
+PINNED_RUNS = {
+    (10, False): (
+        "c91eb9ee862bd43e7018e091426032f9dc2b1873fb9c16e7dbec601b1363a518",
+        "44aa6caf058c3b856ce1cec57f4deac4b5f02cebd93cd02783ade37a64adc877",
+        "204090306cdbcf3f2c0ec88a8b30e208d18a458e3162525aa3e20d492963d75c",
+    ),
+    (10, True): (
+        "66333bb507e5076085ae40087f97e953ae52f8f31d6a311c0c92fc7888f2b324",
+        "44aa6caf058c3b856ce1cec57f4deac4b5f02cebd93cd02783ade37a64adc877",
+        "92f35736c8de97a50d988d3f22851d890ddd038811dc189207288f361cca371d",
+    ),
+    (40, False): (
+        "a97ada79c22dadd4444c0ac7acf80440880ee20b2330a7b10f6d059e0e1daef9",
+        "af204c28dca7909e60329750300d618d2a0ce0c3e4ec2d8ac0899cfdcf6a8463",
+        "4146e8130b712a250a3d1216d61f91870d9f1bb38dbf82662530361bdf86a287",
+    ),
+    (40, True): (
+        "4c415df4990deede8ef6eebc43f23c6666515ae3feadb0c6b5e943539542f6a9",
+        "af204c28dca7909e60329750300d618d2a0ce0c3e4ec2d8ac0899cfdcf6a8463",
+        "202d393b674282c82e34c75d8288c872abdf71db8edbe027c29a1a9ab34e3be5",
+    ),
+    (90, False): (
+        "6bde5ead979a5358650602d3748a4aa0ead7b4571925c6d775cf9d40ab3473b1",
+        "aa2eefb1c9caeeb0c6d1f7b49092622575b89289d32843223bfd8ac2f4968cf3",
+        "a8db25c24b005d0e2a74fa42e4d8711a6a31325adc8c4e8737b47a5f187490cf",
+    ),
+    (90, True): (
+        "461451a0130baf517844f2b85c8879e4fbeb501f0ea41ea715e7b7062d69ad38",
+        "aa2eefb1c9caeeb0c6d1f7b49092622575b89289d32843223bfd8ac2f4968cf3",
+        "7a3d329dc694a5b6557bcf7b08122ddcec6098a7d6c7b204f075feb00a182263",
+    ),
+    (150, False): (
+        "da9b7d15fa29757be44141c2cdc26415c587f3d4b07aec44f9f5980e2b7d3357",
+        "7199ad6488dbaf81f9f1dca2aa799255318ee2b4fdb238b1d2e45249db643097",
+        "c811dd942e881d5fb0ce561db030ce1b0a3f59d4a4d354ebee85f9b830f13c28",
+    ),
+    (150, True): (
+        "a4fab3bb0fcbd8a7c96e6c14d5154af1c31427bc17ffe9e63a16fae40530551e",
+        "7199ad6488dbaf81f9f1dca2aa799255318ee2b4fdb238b1d2e45249db643097",
+        "105c7e67e81ec0a2d39ae886bfdbe3f789cd28bb2e4a616d3fb41bc3d9282d63",
+    ),
+    (250, False): (
+        "67e78976cb271ff5b95d6a1cdc930bc9bd0a12d1ff18b034567a7048e3530bf8",
+        "b80683827f12cca758e15d47db268feee4c560b10ca20d8c08e6b4282120f7b9",
+        "cc54ff8e207581ff3dd5810428b0b12b4fdbd01d721f7933ab31265cfed3339e",
+    ),
+    (250, True): (
+        "73536277bd5e44512ba56e03f3ea1d2045c0d9a95264e30f9e67ffa37c20aabc",
+        "b80683827f12cca758e15d47db268feee4c560b10ca20d8c08e6b4282120f7b9",
+        "d79fa8d5005bef3c6dbb938beeb36e070ec334e532c252bf9a6575755649b3b1",
+    ),
+    (400, False): (
+        "f66ddef103711d0833e91b90103ca4fa80fbeef4ca58621db4921002b21f0f9c",
+        "bbe809b7f5dd9cdcc7d1bf7284e27837c2d11150224dda041f5a440bb5665365",
+        "40a4f5d771744663f31ac004afb3de9f59e4811117a6cbb4c9fb48e0a994ed7f",
+    ),
+    (400, True): (
+        "5a95024ef63fadfa031cec999bcf515afd61567dbf676925f2d7fb980fb8bc36",
+        "bbe809b7f5dd9cdcc7d1bf7284e27837c2d11150224dda041f5a440bb5665365",
+        "9cfb13143aac7f96cabc125970cf137068d95a0adbdfd6525b26b4a44ce0dace",
+    ),
+}
+
+
+def test_pinned_runs_cover_aux_and_wide_steps():
+    plans = [build_elimination_plan(gen_random_oneplanar(*spec).base) for spec in PIN_SPECS]
+    assert any(s.aux_added for p in plans for s in p.steps)
+    assert any(len(s.neighbors) > 3 for p in plans for s in p.steps)
+    assert {spec[1] for spec in PIN_SPECS} == {Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)}
+
+
+@pytest.mark.parametrize("with_lists", [False, True], ids=["plain", "lists"])
+@pytest.mark.parametrize("spec", PIN_SPECS, ids=lambda s: f"n{s[0]}-f{s[1]}")
+def test_color_run_outputs_pinned(spec, with_lists):
+    assert _pin_digests(*spec, with_lists) == PINNED_RUNS[(spec[0], with_lists)]
+
+
+def test_zero_budget_extension_failure_pinned():
+    g = gen_random_oneplanar(*PIN_SPECS[0]).base
+    with pytest.raises(ExtensionFailed) as info:
+        color_run(g, budget=0)
+    err = info.value
+    assert (err.step_index, err.vertex, str(err)) == (
+        8,
+        4,
+        "extension failed at step 8 (vertex 4): backtracking budget 0 exhausted",
+    )
 
 
 def test_oracle_within_palette_on_small_corpus_graphs(corpus_drawings):
