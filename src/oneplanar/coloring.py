@@ -18,6 +18,17 @@ checked for new bichromatic cycles and bounded backtracking inside the
 same admissible sets handles any failure, with exhaustion surfaced as
 ExtensionFailed rather than papered over.  StepStats' set sizes and
 literal_bound are filled for configuration steps only.
+
+Cost.  A center's status depends on its neighbors' degrees only through
+how many lie at or below each ceiling 8, 11, 14, 19, 35, only degree <= 7
+vertices can be centers, and degrees change only at the removed vertex's
+neighbors.  So after a removal the plan re-checks those neighbors, plus
+the degree <= 7 neighbors of any neighbor whose degree has just fallen onto
+a ceiling; every vertex falls onto each ceiling at most once, which keeps
+the plan linear.  The replay walks each admissible set lazily, in ascending
+order, so an edge costs O(|forbidden| + attempts) rather than O(L); the
+StepStats sizes come from set arithmetic (L - |forbidden| on the palette,
+|list| - |forbidden & list| on a list), not from listing the sets.
 """
 
 from __future__ import annotations
@@ -30,6 +41,9 @@ from .model import AbstractGraph, Edge, OnePlanarError, normalize_edge
 from .structure import CONFIG_BOUNDS, ConfigurationNotFound, matches_configuration
 
 DEFAULT_BACKTRACK_BUDGET = 10_000
+
+_CENTER_MAX = max(CONFIG_BOUNDS)  # 7, the largest degree of a configuration center
+_CEILINGS = CONFIG_BOUNDS[_CENTER_MAX]  # the full row of ceilings, (8, 11, 14, 19, 35)
 
 
 def palette_size(max_degree: int) -> int:
@@ -83,7 +97,9 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
     is removed; otherwise the smallest-id configuration center is.  For
     steps that record an aux pair, the pair is bridged in the working graph
     when not already adjacent, which keeps later steps' degree queries
-    consistent with the reverse replay.
+    consistent with the reverse replay.  After a removal only the vertices
+    whose status can have changed are re-checked (see the module docstring);
+    a stale heap entry is dropped when it reaches the top.
     """
     n = g.n
     adj: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(n)}
@@ -144,13 +160,14 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
             a, b = aux
             adj[a].add(b)
             adj[b].add(a)
-        touched: set[int] = set()
+        # every neighbor but a bridged aux pair lost one degree; that changes
+        # the status of its own degree <= 7 neighbors only when it falls onto
+        # a ceiling
+        recheck = set(nbrs)
         for u in nbrs:
-            if u in alive:
-                touched.add(u)
-                touched.update(adj[u])
-        touched &= alive
-        for u in touched:
+            if len(adj[u]) in _CEILINGS and not (aux_added and u in aux):
+                recheck.update(x for x in adj[u] if len(adj[x]) <= _CENTER_MAX)
+        for u in recheck:
             push(u)
     return EliminationPlan(tuple(steps))
 
@@ -195,16 +212,6 @@ class ColoringRun:
     plan: EliminationPlan
     step_stats: list[StepStats] = field(default_factory=list)
 
-    def bound_violations(self) -> list[StepStats]:
-        out = []
-        for s in self.step_stats:
-            if s.literal_bound is None:
-                continue
-            sizes = [x for x in (s.t1_size, s.td_size) if x is not None]
-            if sizes and (min(sizes) < s.literal_bound or min(sizes) <= 0):
-                out.append(s)
-        return out
-
 
 class _State:
     """Partial proper coloring: per-vertex color->neighbor maps."""
@@ -248,6 +255,17 @@ def _alternating_reaches(
 # --------------------------------------------------------------------------
 
 
+def _admissible_size(allowed: Sequence[int], forbidden: set[int]) -> int:
+    """|allowed - forbidden| by set arithmetic, never by scanning the palette.
+
+    Every color a plain run places lies in range(L), so there the size is
+    L - |forbidden|; a list is intersected with forbidden at C speed.
+    """
+    if isinstance(allowed, range):
+        return len(allowed) - len(forbidden)
+    return len(allowed) - len(forbidden.intersection(allowed))
+
+
 def _extend_step(
     state: _State,
     step: PlanStep,
@@ -275,14 +293,13 @@ def _extend_step(
         a, b = step.aux
         aux_color = state.edge_color[normalize_edge(a, b)]
         state.unassign(a, b)
-        first = [aux_color] if aux_color in allowed[0] else []
+        first: Iterable[int] = (aux_color,) if aux_color in allowed[0] else ()
     else:
-        first = [c for c in allowed[0] if c not in seen[0]]
+        first = (c for c in allowed[0] if c not in seen[0])
 
     config = step.case == "config"
     if config:
-        ceilings = CONFIG_BOUNDS[7]  # the full row, (8, 11, 14, 19, 35)
-        stats.literal_bound = L - (sum(c - 1 for c in ceilings[: d - 2]) + maxdeg)
+        stats.literal_bound = L - (sum(c - 1 for c in _CEILINGS[: d - 2]) + maxdeg)
 
     chosen: list[int] = []
     attempts = 0
@@ -296,25 +313,26 @@ def _extend_step(
             cands = first
         else:
             forbidden = seen[pos].union(chosen)
-            cands = [c for c in allowed[pos] if c not in forbidden]
+            cands = (c for c in allowed[pos] if c not in forbidden)
         if config and pos in (1, 2):
             # size guarantee min(|T_1|, |T_d|) >= L - (sum(c_k - 1) + maxdeg) > 0,
             # with ceilings (8, 11, 14, 19, 35); violations are findings, not passes
+            size = _admissible_size(allowed[pos], forbidden)
             if pos == 1:
-                stats.td_size, which = len(cands), "last-edge"
+                stats.td_size, which = size, "last-edge"
             else:
-                stats.t1_size, which = len(cands), "first-edge"
-            if len(cands) < stats.literal_bound or not cands:
+                stats.t1_size, which = size, "first-edge"
+            if size < stats.literal_bound or not size:
                 raise ExtensionFailed(
                     index,
                     v,
-                    f"admissible-set size bound violated: {which} set has {len(cands)} "
+                    f"admissible-set size bound violated: {which} set has {size} "
                     f"colors, guarantee is {stats.literal_bound}",
                 )
         elif config and len(stats.middle_sizes) == pos - 3:
-            stats.middle_sizes.append(len(cands))
+            stats.middle_sizes.append(_admissible_size(allowed[pos], forbidden))
             raw = seen[pos].union(chosen[:2])
-            stats.middle_raw_sizes.append(len([c for c in allowed[pos] if c not in raw]))
+            stats.middle_raw_sizes.append(_admissible_size(allowed[pos], raw))
         for c in cands:
             attempts += 1
             if attempts > budget:
@@ -335,13 +353,19 @@ def _extend_step(
                 state.unassign(v, u)
         return False
 
-    done = search(0)
+    try:
+        done = search(0)
+    finally:
+        # search refers to itself through its cell; without this each step's
+        # sets would wait for the cyclic garbage collector
+        del search
     stats.attempts = attempts
     if not done:
+        n_first = len(first) if step.aux_added else _admissible_size(allowed[0], seen[0])
         raise ExtensionFailed(
             index,
             v,
-            f"admissible sets exhausted (first-edge candidates: {len(first)}, "
+            f"admissible sets exhausted (first-edge candidates: {n_first}, "
             f"degree {d})",
         )
 
@@ -428,9 +452,11 @@ class VerifyReport:
 def verify_acyclic(g: AbstractGraph, coloring: EdgeColoring) -> VerifyReport:
     """Check totality, properness, and absence of bichromatic cycles.
 
-    The cycle search runs only on a total, proper coloring and only over the
-    graph's own edges: a colored non-edge is reported as unknown and closes
-    no cycle.  Properness makes every two-colored component a path or a
+    Properness takes one pass in the assignment's own order; only when it
+    finds a clash is the pass repeated in ascending edge order, which fixes
+    which edge of each clash is reported.  The cycle search runs only on a
+    total, proper coloring and only over the graph's own edges: a colored
+    non-edge is reported as unknown and closes no cycle.  Properness makes every two-colored component a path or a
     cycle, so each color pair (a, b) is decided by one alternating walk per
     component.  Walks start only at vertices whose a-neighbor carries b and
     whose b-neighbor carries a (every vertex of an a/b cycle does), found by
@@ -444,15 +470,10 @@ def verify_acyclic(g: AbstractGraph, coloring: EdgeColoring) -> VerifyReport:
     missing = tuple(sorted(g.edges - set(assignment)))
     unknown = tuple(sorted(set(assignment) - g.edges))
 
-    proper: list[tuple[Edge, Edge]] = []
-    at: list[dict[int, int]] = [dict() for _ in range(g.n)]
-    for (u, v), c in sorted(assignment.items()):
-        if (u, v) in g.edges:
-            for w, o in ((u, v), (v, u)):
-                if c in at[w]:
-                    proper.append((normalize_edge(w, at[w][c]), (u, v)))
-                else:
-                    at[w][c] = o
+    at, proper = _place_colors(g, assignment.items())
+    if proper:
+        # which edge of a clash is reported depends on the order: ascending
+        at, proper = _place_colors(g, sorted(assignment.items()))
 
     cycles: list[tuple[int, int, tuple[int, ...]]] = []
     if not proper and not missing:
@@ -483,6 +504,24 @@ def verify_acyclic(g: AbstractGraph, coloring: EdgeColoring) -> VerifyReport:
 
     ok = not (missing or unknown or proper or cycles)
     return VerifyReport(ok, missing, unknown, tuple(proper), tuple(cycles))
+
+
+def _place_colors(
+    g: AbstractGraph, items: Iterable[tuple[Edge, int]]
+) -> tuple[list[dict[int, int]], list[tuple[Edge, Edge]]]:
+    """Per-vertex color -> neighbor tables over g's edges, and the clashes.
+
+    On a proper coloring the tables are the same in any order of items."""
+    at: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    proper: list[tuple[Edge, Edge]] = []
+    for (u, v), c in items:
+        if (u, v) in g.edges:
+            for w, o in ((u, v), (v, u)):
+                if c in at[w]:
+                    proper.append((normalize_edge(w, at[w][c]), (u, v)))
+                else:
+                    at[w][c] = o
+    return at, proper
 
 
 # --------------------------------------------------------------------------

