@@ -76,7 +76,6 @@ from .corpus import (
     XorShift64Star,
     gen_plane_triangulation,
     gen_random_oneplanar,
-    load_drawing,
     named_instance,
     parse_graph6,
     read_drawing_json,

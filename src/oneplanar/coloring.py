@@ -20,7 +20,7 @@ ExtensionFailed rather than papered over.  StepStats' set sizes and
 literal_bound are filled for configuration steps only.
 
 Cost.  A center's status depends on its neighbors' degrees only through
-how many lie at or below each ceiling 8, 11, 14, 19, 35, only degree <= 7
+how many lie at or below each of the CEILINGS, only degree <= 7
 vertices can be centers, and degrees change only at the removed vertex's
 neighbors.  So after a removal the plan re-checks those neighbors, plus
 the degree <= 7 neighbors of any neighbor whose degree has just fallen onto
@@ -38,12 +38,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .model import AbstractGraph, Edge, OnePlanarError, normalize_edge
-from .structure import CONFIG_BOUNDS, ConfigurationNotFound, matches_configuration
+from .structure import CEILINGS, LIGHT_DEGREE_MAX, ConfigurationNotFound, matches_configuration
 
 DEFAULT_BACKTRACK_BUDGET = 10_000
-
-_CENTER_MAX = max(CONFIG_BOUNDS)  # 7, the largest degree of a configuration center
-_CEILINGS = CONFIG_BOUNDS[_CENTER_MAX]  # the full row of ceilings, (8, 11, 14, 19, 35)
 
 
 def palette_size(max_degree: int) -> int:
@@ -165,8 +162,8 @@ def build_elimination_plan(g: AbstractGraph) -> EliminationPlan:
         # a ceiling
         recheck = set(nbrs)
         for u in nbrs:
-            if len(adj[u]) in _CEILINGS and not (aux_added and u in aux):
-                recheck.update(x for x in adj[u] if len(adj[x]) <= _CENTER_MAX)
+            if len(adj[u]) in CEILINGS and not (aux_added and u in aux):
+                recheck.update(x for x in adj[u] if len(adj[x]) <= LIGHT_DEGREE_MAX)
         for u in recheck:
             push(u)
     return EliminationPlan(tuple(steps))
@@ -299,7 +296,8 @@ def _extend_step(
 
     config = step.case == "config"
     if config:
-        stats.literal_bound = L - (sum(c - 1 for c in _CEILINGS[: d - 2]) + maxdeg)
+        # a degree-d center's d - 2 small neighbors lie under its own ceilings
+        stats.literal_bound = L - (sum(c - 1 for c in CEILINGS[LIGHT_DEGREE_MAX - d :]) + maxdeg)
 
     chosen: list[int] = []
     attempts = 0
@@ -315,8 +313,8 @@ def _extend_step(
             forbidden = seen[pos].union(chosen)
             cands = (c for c in allowed[pos] if c not in forbidden)
         if config and pos in (1, 2):
-            # size guarantee min(|T_1|, |T_d|) >= L - (sum(c_k - 1) + maxdeg) > 0,
-            # with ceilings (8, 11, 14, 19, 35); violations are findings, not passes
+            # size guarantee min(|T_1|, |T_d|) >= L - (sum(c_k - 1) + maxdeg) > 0
+            # over the center's ceilings c_k; violations are findings, not passes
             size = _admissible_size(allowed[pos], forbidden)
             if pos == 1:
                 stats.td_size, which = size, "last-edge"

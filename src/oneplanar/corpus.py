@@ -479,11 +479,6 @@ def read_drawing_json(text: str) -> OnePlanarDrawing:
     return drawing_from_doc(doc)
 
 
-def load_drawing(path) -> OnePlanarDrawing:
-    with open(path, "r", encoding="utf-8") as fh:
-        return read_drawing_json(fh.read())
-
-
 def save_drawing(d: OnePlanarDrawing, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(write_drawing_json(d))

@@ -14,7 +14,8 @@ Transfer rules, applied once each where triggered:
                       from each of its three vertices
     crossing-triangle every face with a crossing vertex receives 1/2 from
                       each of its two non-crossing vertices
-  vertex-to-vertex rules, by sender degree band (receiver degree: amount)
+  vertex-to-vertex rules, by sender degree band (receiver degree: amount);
+  the bands are cut at the configuration ceilings structure.CEILINGS
     deg9to11    7: 1/21
     deg12to14   7: 1/18   6: 1/6
     deg15to19   7: 1/15   6: 1/5   5: 4/15
@@ -29,32 +30,20 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .model import OnePlanarError
+from .structure import CEILINGS, LIGHT_DEGREE_MAX
 from .triangulation import CanonicalTriangulation, is_canonical
 
 ChargeKey = Union[int, tuple[str, int]]  # vertex id, or ("face", face index)
 
-_BAND_RULES: tuple[tuple[str, int, int, dict[int, Fraction]], ...] = (
-    ("deg9to11", 9, 11, {7: Fraction(1, 21)}),
-    ("deg12to14", 12, 14, {7: Fraction(1, 18), 6: Fraction(1, 6)}),
-    ("deg15to19", 15, 19, {7: Fraction(1, 15), 6: Fraction(1, 5), 5: Fraction(4, 15)}),
-    (
-        "deg20to35",
-        20,
-        35,
-        {7: Fraction(1, 12), 6: Fraction(1, 4), 5: Fraction(1, 3), 4: Fraction(5, 12)},
-    ),
-    (
-        "deg36plus",
-        36,
-        10**9,
-        {
-            7: Fraction(1, 9),
-            6: Fraction(1, 3),
-            5: Fraction(4, 9),
-            4: Fraction(5, 9),
-            3: Fraction(2, 3),
-        },
-    ),
+# what a sender pays to receivers of degree 7, 6, ..., one row per sender
+# degree band; band j runs from CEILINGS[j] + 1 up to CEILINGS[j + 1], and
+# the last band has no upper end
+_BAND_RULES = (
+    (Fraction(1, 21),),
+    (Fraction(1, 18), Fraction(1, 6)),
+    (Fraction(1, 15), Fraction(1, 5), Fraction(4, 15)),
+    (Fraction(1, 12), Fraction(1, 4), Fraction(1, 3), Fraction(5, 12)),
+    (Fraction(1, 9), Fraction(1, 3), Fraction(4, 9), Fraction(5, 9), Fraction(2, 3)),
 )
 
 
@@ -139,9 +128,11 @@ def apply_rules(T: CanonicalTriangulation, ledger: ChargeLedger) -> ChargeLedger
             move("crossing-triangle", v, ("face", i), Fraction(1, 2))
 
     degree = d.base.degree
-    for rule, lo, hi, table in _BAND_RULES:
+    for c, top, amounts in zip(CEILINGS, (*CEILINGS[1:], None), _BAND_RULES, strict=True):
+        rule = f"deg{c + 1}to{top}" if top else f"deg{c + 1}plus"
+        table = {LIGHT_DEGREE_MAX - k: a for k, a in enumerate(amounts)}
         for v in range(n):
-            if not lo <= degree(v) <= hi:
+            if degree(v) <= c or (top is not None and degree(v) > top):
                 continue
             for u in sorted(d.base.neighbors(v)):
                 amount = table.get(degree(u))

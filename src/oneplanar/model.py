@@ -14,6 +14,7 @@ All types here are immutable after construction and safe to share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
@@ -118,10 +119,12 @@ class OnePlanarDrawing:
     index w runs over real ids 0..n-1 followed by crossing ids n..n+k-1.
     Construction checks only structural well-formedness (ids in range);
     invariant checking is ``validate_drawing``'s job so that invalid
-    drawings can be represented and reported on.
+    drawings can be represented and reported on.  The traced faces and the
+    validation report are derived from the drawing alone, so each is
+    computed once and kept (neither takes part in equality or hashing).
     """
 
-    __slots__ = ("base", "crossings", "rotation", "_edge_crossing", "_face_list")
+    __slots__ = ("base", "crossings", "rotation", "_edge_crossing", "_face_list", "_report")
 
     def __init__(
         self,
@@ -157,6 +160,7 @@ class OnePlanarDrawing:
                 ec.setdefault(e, n + i)
         self._edge_crossing = ec
         self._face_list: FaceList | None = None
+        self._report: ValidationReport | None = None
 
     @property
     def face_list(self) -> FaceList:
@@ -181,9 +185,6 @@ class OnePlanarDrawing:
     @property
     def planarization_size(self) -> int:
         return self.base.n + len(self.crossings)
-
-    def is_crossing_id(self, w: int) -> bool:
-        return w >= self.base.n
 
     def crossing_of_edge(self, u: int, v: int) -> int | None:
         """Planarization id of the crossing on edge uv, if it is crossed."""
@@ -314,6 +315,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Violations found on one drawing; ``stats`` is read-only because every
+    reader of the drawing shares its one report."""
+
     violations: tuple[Violation, ...]
     stats: Mapping[str, int]
 
@@ -347,8 +351,16 @@ def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
     Ids out of range are a hard error at construction time, never reported
     here.  When the crossing records are ambiguous (an edge crossed twice,
     or a crossing on a non-edge) the dependent rotation and Euler checks
-    are skipped since the planarization is not well defined.
+    are skipped since the planarization is not well defined.  The drawing
+    is immutable, so the report is computed on the first call and kept on
+    it; every later call returns that same, read-only report.
     """
+    if d._report is None:
+        d._report = _check_invariants(d)
+    return d._report
+
+
+def _check_invariants(d: OnePlanarDrawing) -> ValidationReport:
     n = d.n
     out: list[Violation] = []
 
@@ -394,7 +406,7 @@ def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
     }
 
     if ambiguous:
-        return ValidationReport(tuple(out), stats)
+        return ValidationReport(tuple(out), MappingProxyType(stats))
     expected = _expected_planarization(d)
 
     coverage_ok = True
@@ -445,7 +457,7 @@ def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
                     f"face tracing gives genus {fl.genus}; drawing is not plane",
                 )
             )
-    return ValidationReport(tuple(out), stats)
+    return ValidationReport(tuple(out), MappingProxyType(stats))
 
 
 @dataclass(frozen=True)
@@ -474,21 +486,15 @@ def associated_plane_graph(
 
     Vertices >= d.n are the crossing markers; real vertices keep their
     base-graph degree.  Raises InvalidDrawingError when the drawing fails
-    validation.
+    validation.  A valid rotation lists exactly the planarization edges,
+    so they are read off it.
     """
     report = validate_drawing(d)
     if not report.valid:
         raise InvalidDrawingError(report)
-    edges: list[Edge] = []
-    for u, v in d.base.edges:
-        z = d.crossing_of_edge(u, v)
-        if z is None:
-            edges.append((u, v))
-        else:
-            edges.append(normalize_edge(u, z))
-            edges.append(normalize_edge(z, v))
-    g = AbstractGraph(d.planarization_size, edges)
-    return g, d.rotation
+    rot = d.rotation
+    edges = [(u, x) for u in range(len(rot)) for x in rot[u] if u < x]
+    return AbstractGraph(len(rot), edges), rot
 
 
 def planarization_components(d: OnePlanarDrawing) -> int:

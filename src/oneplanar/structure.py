@@ -22,14 +22,12 @@ from .triangulation import CanonicalTriangulation
 
 LIGHT_DEGREE_MAX = 7
 
-# neighbor-degree ceilings per center degree; unlisted neighbors are unbounded
-CONFIG_BOUNDS: dict[int, tuple[int, ...]] = {
-    3: (35,),
-    4: (19, 35),
-    5: (14, 19, 35),
-    6: (11, 14, 19, 35),
-    7: (8, 11, 14, 19, 35),
-}
+# The neighbor-degree ceilings of the configurations.  A center of degree d
+# (3 <= d <= LIGHT_DEGREE_MAX) bounds its k-th smallest neighbor degree
+# (k = 0, 1, ...) by CEILINGS[LIGHT_DEGREE_MAX - d + k], that is by the last
+# d - 2 ceilings; its two largest neighbors are unbounded.  The discharging
+# bands are cut at the same values.
+CEILINGS = (8, 11, 14, 19, 35)
 
 
 class ConfigurationNotFound(OnePlanarError):
@@ -59,19 +57,18 @@ def _sorted_neighbors(g: AbstractGraph, v: int) -> list[int]:
 def matches_configuration(neighbors: Collection[int], degree: Callable[[int], int]) -> bool:
     """Whether a center with these neighbors carries a configuration.
 
-    Degree at most 2 always does (C1); degree 3..7 does when the k-th
-    smallest neighbor degree is at most the k-th ceiling in CONFIG_BOUNDS.
+    Degree at most 2 always does (C1); degree d in 3..7 does when the k-th
+    smallest neighbor degree is at most the k-th of the last d - 2 CEILINGS.
     ``degree`` gives the current degree of a neighbor, so the elimination
     plan can ask about its shrinking working graph.
     """
     deg = len(neighbors)
     if deg <= 2:
         return True
-    bounds = CONFIG_BOUNDS.get(deg)
-    if bounds is None:
+    if deg > LIGHT_DEGREE_MAX:
         return False
     degs = sorted(map(degree, neighbors))
-    return all(degs[i] <= b for i, b in enumerate(bounds))
+    return all(x <= b for x, b in zip(degs, CEILINGS[LIGHT_DEGREE_MAX - deg :]))
 
 
 def find_configuration(g: AbstractGraph) -> Configuration:
@@ -101,7 +98,7 @@ def find_light_path3(g: AbstractGraph) -> tuple[int, int, int]:
     cfg = find_configuration(g)
     u, w = cfg.neighbors[0], cfg.neighbors[1]
     path = (u, cfg.center, w)
-    assert all(g.degree(x) <= 35 for x in path)
+    assert all(g.degree(x) <= CEILINGS[-1] for x in path)
     return path
 
 
@@ -111,7 +108,7 @@ def find_light_star3(g: AbstractGraph) -> tuple[int, tuple[int, int, int]]:
         raise MinDegreeError(f"light 3-star needs minimum degree 5, got {g.min_degree()}")
     cfg = find_configuration(g)
     leaves = cfg.neighbors[:3]
-    assert g.degree(cfg.center) <= 35 and all(g.degree(x) <= 35 for x in leaves)
+    assert all(g.degree(x) <= CEILINGS[-1] for x in (cfg.center, *leaves))
     return cfg.center, tuple(leaves)
 
 
@@ -174,12 +171,6 @@ class StructureCensus:
     class2_count: int
     class3_count: int
     degree_counts: dict[int, int] = field(repr=False)
-
-    def n_of_degree(self, k: int) -> int:
-        return self.degree_counts.get(k, 0)
-
-    def n_of_degree_at_least(self, k: int) -> int:
-        return sum(c for d, c in self.degree_counts.items() if d >= k)
 
 
 def classify_neighbors(T: CanonicalTriangulation, v: int) -> StructureCensus:

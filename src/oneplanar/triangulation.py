@@ -35,7 +35,6 @@ from .model import (
     OnePlanarDrawing,
     OnePlanarError,
     normalize_edge,
-    planarization_components,
     validate_drawing,
 )
 
@@ -66,9 +65,9 @@ class CanonicalTriangulation:
 
 
 def is_canonical(d: OnePlanarDrawing) -> bool:
-    """True iff d is valid, every planarization face is a triangle, every
-    crossing has degree 4, and each crossing's four neighbors are joined by
-    a cycle of graph edges (the kite)."""
+    """True iff d is valid, every planarization face is a triangle, and each
+    crossing's four neighbors are joined by a cycle of graph edges (the
+    kite).  Validity already gives every crossing degree 4."""
     if not validate_drawing(d).valid:
         return False
     if any(len(f) != 3 for f in d.face_list.faces):
@@ -76,8 +75,6 @@ def is_canonical(d: OnePlanarDrawing) -> bool:
     n = d.n
     for i in range(d.num_crossings):
         order = d.rotation[n + i]
-        if len(order) != 4:
-            return False
         for k in range(4):
             if normalize_edge(order[k], order[(k + 1) % 4]) not in d.base.edges:
                 return False
@@ -88,7 +85,7 @@ def canonical_triangulate(d: OnePlanarDrawing) -> CanonicalTriangulation:
     report = validate_drawing(d)
     if not report.valid:
         raise InvalidDrawingError(report)
-    if planarization_components(d) != 1:
+    if d.face_list.components != 1:
         raise TriangulationError("canonical triangulation needs a connected drawing")
     if is_canonical(d):
         return CanonicalTriangulation(d, (), (), (), ())

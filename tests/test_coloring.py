@@ -327,62 +327,62 @@ PINNED_RUNS = {
     (10, False): (
         "c91eb9ee862bd43e7018e091426032f9dc2b1873fb9c16e7dbec601b1363a518",
         "44aa6caf058c3b856ce1cec57f4deac4b5f02cebd93cd02783ade37a64adc877",
-        "204090306cdbcf3f2c0ec88a8b30e208d18a458e3162525aa3e20d492963d75c",
+        "2a93d1ab9bb825ab7144424739ccd1ea5e59b1d32da0c5de6d989e21629c1b09",
     ),
     (10, True): (
         "66333bb507e5076085ae40087f97e953ae52f8f31d6a311c0c92fc7888f2b324",
         "44aa6caf058c3b856ce1cec57f4deac4b5f02cebd93cd02783ade37a64adc877",
-        "92f35736c8de97a50d988d3f22851d890ddd038811dc189207288f361cca371d",
+        "8c0189d53b6daca9384be81c62c79de8927d5a8d1e0871914bf2c2136f2df671",
     ),
     (40, False): (
         "a97ada79c22dadd4444c0ac7acf80440880ee20b2330a7b10f6d059e0e1daef9",
         "af204c28dca7909e60329750300d618d2a0ce0c3e4ec2d8ac0899cfdcf6a8463",
-        "4146e8130b712a250a3d1216d61f91870d9f1bb38dbf82662530361bdf86a287",
+        "c9f5ea0a8028a266f0e9adabfe639e517b68a0a5c6e97b2dfbce8e2493de6163",
     ),
     (40, True): (
         "4c415df4990deede8ef6eebc43f23c6666515ae3feadb0c6b5e943539542f6a9",
         "af204c28dca7909e60329750300d618d2a0ce0c3e4ec2d8ac0899cfdcf6a8463",
-        "202d393b674282c82e34c75d8288c872abdf71db8edbe027c29a1a9ab34e3be5",
+        "c9699bbb013f241b5335f08b7cc9ec93e280dd7e5f1a2c73832deef89e6a88bc",
     ),
     (90, False): (
         "6bde5ead979a5358650602d3748a4aa0ead7b4571925c6d775cf9d40ab3473b1",
         "aa2eefb1c9caeeb0c6d1f7b49092622575b89289d32843223bfd8ac2f4968cf3",
-        "a8db25c24b005d0e2a74fa42e4d8711a6a31325adc8c4e8737b47a5f187490cf",
+        "33f531f561426272d86b5c6db6ae821b33769c8f2ef8f128c921544f11c9a36d",
     ),
     (90, True): (
         "461451a0130baf517844f2b85c8879e4fbeb501f0ea41ea715e7b7062d69ad38",
         "aa2eefb1c9caeeb0c6d1f7b49092622575b89289d32843223bfd8ac2f4968cf3",
-        "7a3d329dc694a5b6557bcf7b08122ddcec6098a7d6c7b204f075feb00a182263",
+        "b0ec3a3f675928822e478c4aa4e0dc2c2c7b66cdc34321dc1ad9c8c3c5969703",
     ),
     (150, False): (
         "da9b7d15fa29757be44141c2cdc26415c587f3d4b07aec44f9f5980e2b7d3357",
         "7199ad6488dbaf81f9f1dca2aa799255318ee2b4fdb238b1d2e45249db643097",
-        "c811dd942e881d5fb0ce561db030ce1b0a3f59d4a4d354ebee85f9b830f13c28",
+        "f76d94d264ff4aea6178bb2a16544c4112117864f187728ef258ebdf97a02c56",
     ),
     (150, True): (
         "a4fab3bb0fcbd8a7c96e6c14d5154af1c31427bc17ffe9e63a16fae40530551e",
         "7199ad6488dbaf81f9f1dca2aa799255318ee2b4fdb238b1d2e45249db643097",
-        "105c7e67e81ec0a2d39ae886bfdbe3f789cd28bb2e4a616d3fb41bc3d9282d63",
+        "a4611689759a25272d7915158c45b5263302b0ae5b868bf52ccc8aa6a00f0b08",
     ),
     (250, False): (
         "67e78976cb271ff5b95d6a1cdc930bc9bd0a12d1ff18b034567a7048e3530bf8",
         "b80683827f12cca758e15d47db268feee4c560b10ca20d8c08e6b4282120f7b9",
-        "cc54ff8e207581ff3dd5810428b0b12b4fdbd01d721f7933ab31265cfed3339e",
+        "5319ceba1980e579294bc170569f3c43fca507eaceefaa4f763185a70f7da839",
     ),
     (250, True): (
         "73536277bd5e44512ba56e03f3ea1d2045c0d9a95264e30f9e67ffa37c20aabc",
         "b80683827f12cca758e15d47db268feee4c560b10ca20d8c08e6b4282120f7b9",
-        "d79fa8d5005bef3c6dbb938beeb36e070ec334e532c252bf9a6575755649b3b1",
+        "a87a48ffaa308c444d8acb7801e40642eb0d618a6bfbfe7b274ff9421323ce26",
     ),
     (400, False): (
         "f66ddef103711d0833e91b90103ca4fa80fbeef4ca58621db4921002b21f0f9c",
         "bbe809b7f5dd9cdcc7d1bf7284e27837c2d11150224dda041f5a440bb5665365",
-        "40a4f5d771744663f31ac004afb3de9f59e4811117a6cbb4c9fb48e0a994ed7f",
+        "c89381c28b0c59eb4bb75175339d78e623766c20d7f8c2c3461ff9153581f1e8",
     ),
     (400, True): (
         "5a95024ef63fadfa031cec999bcf515afd61567dbf676925f2d7fb980fb8bc36",
         "bbe809b7f5dd9cdcc7d1bf7284e27837c2d11150224dda041f5a440bb5665365",
-        "9cfb13143aac7f96cabc125970cf137068d95a0adbdfd6525b26b4a44ce0dace",
+        "518f18d5927107bb46f4266f6f6fb892b2e70c670ecb96616fce826412c68d07",
     ),
 }
 
@@ -451,6 +451,24 @@ def test_exhausted_admissible_sets_message(colored, aux_added, edge_lists, n_fir
         "extension failed at step 5 (vertex 0): admissible sets exhausted "
         f"(first-edge candidates: {n_first}, degree 2)"
     )
+
+
+def test_literal_bound_uses_the_centers_own_ceilings():
+    # a degree-3 center 0 with neighbors 1, 2, 3 (degrees 35, 37, 60 = maxdeg)
+    # returns under L = 143; the colors already at its neighbors leave the
+    # last-edge set 50 colors, above the degree-3 guarantee
+    # 143 - ((35 - 1) + 60) = 49 but below the 76 that a degree-7 center's
+    # first ceiling (8) would promise
+    state = _State(133)
+    leaves = iter(range(4, 133))
+    for u, colors in ((1, range(0, 34)), (2, range(34, 70)), (3, range(34, 93))):
+        for c in colors:
+            state.assign(u, next(leaves), c)
+    step = PlanStep(0, "config", "C2", (1, 2, 3), (2, 3), False)
+    stats = StepStats(index=0, vertex=0, case="config", degree=3, attempts=0)
+    _extend_step(state, step, 0, palette_size(60), 60, None, 100, stats)
+    assert (stats.t1_size, stats.td_size, stats.literal_bound) == (72, 50, 49)
+    assert [state.colors[0][c] for c in (0, 93, 70)] == [2, 3, 1]
 
 
 def test_oracle_within_palette_on_small_corpus_graphs(corpus_drawings):

@@ -10,6 +10,7 @@ from oneplanar import (
     apply_rules,
     audit,
     canonical_triangulate,
+    gen_random_oneplanar,
     initial_charges,
     named_instance,
     replay,
@@ -138,3 +139,51 @@ def test_faces_are_deterministic():
     T = canonical_triangulate(named_instance("k6_1planar"))
     again = canonical_triangulate(named_instance("k6_1planar"))
     assert T.drawing.face_list.faces == again.drawing.face_list.faces
+
+
+# the vertex-to-vertex rules as the module docstring states them:
+# rule -> (lowest, highest sender degree, receiver degree -> amount)
+DOCSTRING_BANDS = {
+    "deg9to11": (9, 11, {7: Fraction(1, 21)}),
+    "deg12to14": (12, 14, {7: Fraction(1, 18), 6: Fraction(1, 6)}),
+    "deg15to19": (15, 19, {7: Fraction(1, 15), 6: Fraction(1, 5), 5: Fraction(4, 15)}),
+    "deg20to35": (
+        20,
+        35,
+        {7: Fraction(1, 12), 6: Fraction(1, 4), 5: Fraction(1, 3), 4: Fraction(5, 12)},
+    ),
+    "deg36plus": (
+        36,
+        None,
+        {
+            7: Fraction(1, 9),
+            6: Fraction(1, 3),
+            5: Fraction(4, 9),
+            4: Fraction(5, 9),
+            3: Fraction(2, 3),
+        },
+    ),
+}
+
+
+def test_vertex_transfers_follow_the_docstring_table():
+    d = gen_random_oneplanar(200, Fraction(1, 2), 1)
+    T = canonical_triangulate(d)
+    g = T.base
+    assert g.max_degree() > 35
+    led = apply_rules(T, initial_charges(T))
+    got = sorted(
+        (t.rule, t.source, t.target, g.degree(t.source), g.degree(t.target), t.amount)
+        for t in led.transcript
+        if t.rule in DOCSTRING_BANDS
+    )
+    want = sorted(
+        (rule, v, u, g.degree(v), g.degree(u), table[g.degree(u)])
+        for rule, (lo, hi, table) in DOCSTRING_BANDS.items()
+        for v in range(g.n)
+        if lo <= g.degree(v) and (hi is None or g.degree(v) <= hi)
+        for u in g.neighbors(v)
+        if g.degree(u) in table
+    )
+    assert got == want
+    assert {t[0] for t in got} == set(DOCSTRING_BANDS)

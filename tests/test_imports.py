@@ -1,8 +1,11 @@
-"""Every name a package module imports is used in that module, and every
-private module-level function, class or constant is used where it is defined.
+"""Every name a package module imports is used in that module, every
+private module-level function, class or constant is used where it is
+defined, and every public function or method is read somewhere in the
+package, its tests or its benchmark.
 
 The package re-exports its public API from ``__init__.py``, so that file is
-not checked; ``from __future__`` imports bind nothing that code refers to.
+not checked and its re-exports are not reads; ``from __future__`` imports
+bind nothing that code refers to.
 """
 
 from __future__ import annotations
@@ -12,8 +15,15 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "oneplanar"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "oneplanar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = sorted(
+    p
+    for top in ("src", "tests", "perfbench")
+    for p in (ROOT / top).rglob("*.py")
+    if p != PACKAGE / "__init__.py"
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -78,3 +88,51 @@ def test_private_name_detector_sees_unused_and_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def public_functions(source: str) -> dict[str, int]:
+    """Public module-level functions and methods of module-level classes, by line."""
+    tree = ast.parse(source)
+    found: dict[str, int] = {}
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.setdefault(item.name, item.lineno)
+    return {name: line for name, line in found.items() if not name.startswith("_")}
+
+
+def names_read(source: str) -> set[str]:
+    """Names loaded and attributes read; an import or a definition is not a read."""
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_public_function_detector_sees_definitions_and_reads():
+    src = (
+        "from m import f\n"
+        "def f():\n    pass\n"
+        "class K:\n    def m(self):\n        pass\n"
+        "    def _p(self):\n        pass\n"
+        "    @property\n    def q(self):\n        return g(self.m)\n"
+        "def _h():\n    pass\n"
+    )
+    assert public_functions(src) == {"f": 2, "m": 5, "q": 10}
+    read = names_read(src)
+    assert {"g", "m", "self"} <= read and not read & {"f", "q"}
+
+
+def test_every_public_function_is_read():
+    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
+    unread = [
+        f"{path.name}: {name} (line {line})"
+        for path in MODULES
+        for name, line in public_functions(path.read_text(encoding="utf-8")).items()
+        if name not in read
+    ]
+    assert unread == []

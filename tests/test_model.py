@@ -243,6 +243,26 @@ def test_canonical_drawing_is_traced_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_drawing_is_validated_once(monkeypatch):
+    # every stage below validates the same drawing; the report kept on it
+    # must serve them all (one run of the unambiguous-planarization check)
+    d = gen_random_oneplanar(150, Fraction(1, 2), 11)
+    calls = []
+    real = model._expected_planarization
+    monkeypatch.setattr(model, "_expected_planarization", lambda x: calls.append(1) or real(x))
+    rep = validate_drawing(d)
+    T = canonical_triangulate(d)
+    assert T.drawing is d and is_canonical(T.drawing)
+    assert canonical_triangulate(T.drawing).drawing is d
+    assert initial_charges(T).total() == -8
+    g, _ = associated_plane_graph(d)
+    assert g.num_edges == d.base.num_edges + 2 * d.num_crossings
+    assert len(calls) == 1
+    assert validate_drawing(d) is rep
+    with pytest.raises(TypeError):
+        rep.stats["n"] = 0
+
+
 def test_handshake_and_face_length_sums(corpus_drawings):
     drawings, _ = corpus_drawings
     for d in drawings[:50]:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oneplanar import (
     AbstractGraph,
@@ -15,7 +17,7 @@ from oneplanar import (
     named_instance,
 )
 from oneplanar.model import Crossing, OnePlanarDrawing
-from oneplanar.structure import ConfigurationNotFound, MinDegreeError
+from oneplanar.structure import ConfigurationNotFound, MinDegreeError, matches_configuration
 from oneplanar.triangulation import CanonicalTriangulation
 
 from conftest import complete_graph, corpus_spec
@@ -244,3 +246,36 @@ def test_observation_degree_errors_reported():
     T = CanonicalTriangulation(d, (), (), (), ())
     rep = check_observations(T)
     assert any(f.item == 2 and f.level == "error" for f in rep.findings)
+
+
+# neighbor-degree ceilings per center degree, as a literal table: the
+# reference that matches_configuration's reading of CEILINGS must agree with
+CONFIG_BOUNDS = {
+    3: (35,),
+    4: (19, 35),
+    5: (14, 19, 35),
+    6: (11, 14, 19, 35),
+    7: (8, 11, 14, 19, 35),
+}
+
+
+def _reference_match(degrees: list[int]) -> bool:
+    if len(degrees) <= 2:
+        return True
+    bounds = CONFIG_BOUNDS.get(len(degrees))
+    if bounds is None:
+        return False
+    degs = sorted(degrees)
+    return all(degs[i] <= b for i, b in enumerate(bounds))
+
+
+# each ceiling and one above it, plus a small and an unbounded degree
+NEIGHBOR_DEGREES = [3, 8, 9, 11, 12, 14, 15, 19, 20, 35, 36, 100]
+
+
+@given(st.lists(st.sampled_from(NEIGHBOR_DEGREES), max_size=9))
+@settings(max_examples=400, deadline=None)
+def test_matches_configuration_agrees_with_bounds_table(degrees):
+    assert matches_configuration(range(len(degrees)), degrees.__getitem__) == _reference_match(
+        degrees
+    )
