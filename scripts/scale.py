@@ -1,0 +1,163 @@
+"""Scaling record of the pipeline layers at n = 1000, 4000 and 16000.
+
+Usage, from the repository root:
+
+    python3 scripts/scale.py -o BENCH_scale.json [--repeats 3]
+
+For each n it generates ``gen_random_oneplanar(n, 1/2, 7)`` and a thinned
+copy ``thin_drawing(d, 1/2, 1/2, 7)`` (the benchmark's thinning, so that
+triangulation steps 1-5 run), then times these layers, each the minimum of
+``--repeats`` runs in CPU time (``time.process_time``) and in wall time:
+
+- ``validate``: ``validate_drawing`` of the drawing;
+- ``triangulate_thinned``: ``canonical_triangulate`` of the thinned copy,
+  its input validation included;
+- ``initial_charges`` and ``apply_rules`` on the (already canonical) drawing;
+- ``color_run`` of its graph, plan included;
+- ``verify``: ``verify_acyclic`` of that coloring.
+
+A drawing keeps its validation report and face list once computed, so every
+repetition re-reads its drawing from JSON text and times a fresh object.
+The record holds the times, the growth ratio per 4x of n, and a SHA-256
+digest of every layer's output, which must not change between repetitions.
+This script is not a gate: it only writes the record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import platform
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+from oneplanar import (  # noqa: E402
+    apply_rules,
+    canonical_triangulate,
+    color_run,
+    gen_random_oneplanar,
+    initial_charges,
+    validate_drawing,
+    verify_acyclic,
+)
+from oneplanar.corpus import read_drawing_json, write_drawing_json  # noqa: E402
+from perfbench.inputs import thin_drawing  # noqa: E402
+
+SIZES = (1000, 4000, 16000)
+FRACTION = Fraction(1, 2)
+SEED = 7
+LAYERS = ("triangulate_thinned", "validate", "initial_charges", "apply_rules", "color_run", "verify")
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def _timed(fn, *args):
+    gc.collect()  # garbage left by earlier layers is not charged to this one
+    c0, w0 = time.process_time(), time.perf_counter()
+    out = fn(*args)
+    return out, time.process_time() - c0, time.perf_counter() - w0
+
+
+def _one_repetition(text: str, thin_text: str) -> dict[str, tuple[str, float, float]]:
+    """Every layer once, on drawings freshly read from JSON; name -> (digest, cpu, wall)."""
+    out = {}
+    T, cpu, wall = _timed(canonical_triangulate, read_drawing_json(thin_text))
+    provenance = (T.added_kite_edges, T.removed_duplicates, T.temporarily_removed,
+                  T.added_fill_edges)
+    out["triangulate_thinned"] = (_digest(write_drawing_json(T.drawing), provenance), cpu, wall)
+    del T
+
+    d = read_drawing_json(text)
+    rep, cpu, wall = _timed(validate_drawing, d)
+    out["validate"] = (_digest(rep.valid, sorted(rep.stats.items())), cpu, wall)
+    T = canonical_triangulate(d)
+    led0, cpu, wall = _timed(initial_charges, T)
+    out["initial_charges"] = (_digest(sorted(led0.charges.items(), key=repr)), cpu, wall)
+    led1, cpu, wall = _timed(apply_rules, T, led0)
+    out["apply_rules"] = (
+        _digest(sorted(led1.charges.items(), key=repr), led1.transcript), cpu, wall
+    )
+
+    g = d.base
+    run, cpu, wall = _timed(color_run, g)
+    out["color_run"] = (_digest(sorted(run.coloring.assignment.items()), run.plan.steps), cpu, wall)
+    vrep, cpu, wall = _timed(verify_acyclic, g, run.coloring)
+    out["verify"] = (_digest(vrep), cpu, wall)
+    return out
+
+
+def measure(n: int, repeats: int) -> dict:
+    d = gen_random_oneplanar(n, FRACTION, SEED)
+    thin = thin_drawing(d, Fraction(1, 2), Fraction(1, 2), SEED)
+    text, thin_text = write_drawing_json(d), write_drawing_json(thin)
+    runs = [_one_repetition(text, thin_text) for _ in range(repeats)]
+    layers = {}
+    for name in LAYERS:
+        digests = {r[name][0] for r in runs}
+        if len(digests) != 1:
+            raise SystemExit(f"{name} at n={n}: outputs differ between repetitions")
+        layers[name] = {
+            "cpu_s": round(min(r[name][1] for r in runs), 4),
+            "wall_s": round(min(r[name][2] for r in runs), 4),
+            "digest": digests.pop(),
+        }
+    return {
+        "n": n,
+        "e": d.base.num_edges,
+        "crossings": d.num_crossings,
+        "max_degree": d.base.max_degree(),
+        "thinned_e": thin.base.num_edges,
+        "thinned_crossings": thin.num_crossings,
+        "layers": layers,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("-o", "--output", required=True)
+    ap.add_argument("--repeats", type=int, default=3)
+    args = ap.parse_args(argv)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    sizes = []
+    for n in SIZES:
+        sizes.append(measure(n, args.repeats))
+        cells = ", ".join(f"{k} {v['cpu_s']:.3f}" for k, v in sizes[-1]["layers"].items())
+        print(f"n={n}: {cells} (CPU s)", flush=True)
+    growth = {
+        name: {
+            f"{a['n']}->{b['n']}": round(b["layers"][name]["cpu_s"] / a["layers"][name]["cpu_s"], 2)
+            for a, b in zip(sizes, sizes[1:])
+        }
+        for name in LAYERS
+    }
+    record = {
+        "what": "per-layer time, min of repeats, fresh drawing per repetition",
+        "fraction": str(FRACTION),
+        "seed": SEED,
+        "repeats": args.repeats,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "sizes": sizes,
+        "cpu_growth_per_4x": growth,
+    }
+    Path(args.output).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    for name, ratios in growth.items():
+        print(f"{name}: CPU growth {ratios}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

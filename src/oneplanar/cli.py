@@ -60,6 +60,8 @@ from .triangulation import canonical_triangulate, is_canonical
 
 _USAGE_ERROR = 2
 _CHECK_FAILED = 1
+# the largest generator n accepted from the command line or a manifest
+GEN_N_MAX = 100_000
 
 
 class _InputError(OnePlanarError):
@@ -83,7 +85,7 @@ def _resolve_input(spec) -> tuple[AbstractGraph, OnePlanarDrawing | None, bytes]
 
     Kinds: ``named`` (name), ``file`` (path of a .g6 or drawing JSON file),
     ``g6`` (graph6 text) and ``gen`` (generator, default random_oneplanar;
-    n; seed; fraction, default 0).
+    n, at most GEN_N_MAX; seed; fraction, default 0).
     """
     if not isinstance(spec, dict):
         raise _InputError(f"input must be an object, got {spec!r}")
@@ -110,6 +112,8 @@ def _resolve_input(spec) -> tuple[AbstractGraph, OnePlanarDrawing | None, bytes]
     elif kind == "gen":
         generator = spec.get("generator", "random_oneplanar")
         n, seed = _field(spec, "n", int), _field(spec, "seed", int)
+        if n > GEN_N_MAX:
+            raise _InputError(f"generator n must be at most {GEN_N_MAX}, got {n}")
         if generator == "plane_triangulation":
             d = gen_plane_triangulation(n, seed)
         elif generator == "random_oneplanar":

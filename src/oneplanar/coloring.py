@@ -41,13 +41,15 @@ from .model import AbstractGraph, Edge, OnePlanarError, normalize_edge
 from .structure import CEILINGS, LIGHT_DEGREE_MAX, ConfigurationNotFound, matches_configuration
 
 DEFAULT_BACKTRACK_BUDGET = 10_000
+# 83: leaves a degree-7 center's first and last edges one color (literal_bound)
+_PALETTE_SLACK = 1 + sum(c - 1 for c in CEILINGS)
 
 
 def palette_size(max_degree: int) -> int:
     """Palette bound max(2*maxdeg - 2, maxdeg + 83)."""
     if max_degree < 0:
         raise ValueError("max degree must be non-negative")
-    return max(2 * max_degree - 2, max_degree + 83)
+    return max(2 * max_degree - 2, max_degree + _PALETTE_SLACK)
 
 
 class ExtensionFailed(OnePlanarError):

@@ -26,6 +26,7 @@ from .model import (
     OnePlanarDrawing,
     OnePlanarError,
     normalize_edge,
+    trace_faces,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -67,7 +68,7 @@ _K3_ROT = [[1, 2], [2, 0], [0, 1]]
 
 
 def _grow_triangulation(n: int, rng: XorShift64Star) -> MutableEmbedding:
-    emb = MutableEmbedding(_K3_ROT)
+    emb = MutableEmbedding(_K3_ROT, trace_faces(_K3_ROT).faces)
     live = sorted(emb.faces)  # two faces of the seed triangle
     for v in range(3, n):
         k = rng.below(len(live))
@@ -196,7 +197,7 @@ def _build_kite() -> OnePlanarDrawing:
 
 def _build_k6_1planar() -> OnePlanarDrawing:
     """K6 drawn as the octahedron plus its three diagonals, one crossing each."""
-    emb = MutableEmbedding(_OCTAHEDRON_ROT)
+    emb = MutableEmbedding(_OCTAHEDRON_ROT, trace_faces(_OCTAHEDRON_ROT).faces)
     crossings: list[Crossing] = []
     for b, d in [(1, 3), (2, 4), (0, 5)]:
         z = 6 + len(crossings)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .model import OnePlanarError, trace_faces
+from .model import OnePlanarError
 
 
 class EmbeddingError(OnePlanarError):
@@ -23,13 +23,16 @@ class EmbeddingError(OnePlanarError):
 
 
 class MutableEmbedding:
-    def __init__(self, rotations: Sequence[Sequence[int]]):
+    """Rotations plus their face cycles, which the caller supplies in trace
+    order (``trace_faces(rotations).faces``); step 4 of the triangulation
+    relies on face ids following that order."""
+
+    def __init__(self, rotations: Sequence[Sequence[int]], faces: Iterable[Sequence[int]]):
         self.rot: dict[int, list[int]] = {w: list(order) for w, order in enumerate(rotations)}
         self.faces: dict[int, list[int]] = {}
         self.edge_face: dict[tuple[int, int], int] = {}
         self._next_fid = 0
-        # face ids follow trace order, which step 4 of the triangulation relies on
-        for face in trace_faces(rotations).faces:
+        for face in faces:
             self._register_face(list(face))
 
     # -- construction ------------------------------------------------------
@@ -42,9 +45,6 @@ class MutableEmbedding:
         for i in range(L):
             self.edge_face[(walk[i], walk[(i + 1) % L])] = fid
         return fid
-
-    def _drop_face(self, fid: int) -> None:
-        del self.faces[fid]
 
     # -- queries -----------------------------------------------------------
 
@@ -94,7 +94,7 @@ class MutableEmbedding:
 
         f1 = face[i : j + 1]          # x .. y, closed by chord (y -> x)
         f2 = face[j:] + face[: i + 1]  # y .. x, closed by chord (x -> y)
-        self._drop_face(fid)
+        del self.faces[fid]
         fid1 = self._register_face(f1)
         fid2 = self._register_face(f2)
         return fid1, fid2
@@ -114,7 +114,7 @@ class MutableEmbedding:
         rb.insert(rb.index(a) + 1, v)
         rc = self.rot[c]
         rc.insert(rc.index(b) + 1, v)
-        self._drop_face(fid)
+        del self.faces[fid]
         return (
             self._register_face([a, b, v]),
             self._register_face([b, c, v]),
@@ -157,7 +157,7 @@ class MutableEmbedding:
         self.rot[u].remove(v)
         self.rot[v].remove(u)
         for fid in {f1, f2}:
-            self._drop_face(fid)
+            del self.faces[fid]
         for face in new_faces:
             self._register_face(face)
 
@@ -217,8 +217,7 @@ class MutableEmbedding:
         self.rot[b][self.rot[b].index(d)] = z
         self.rot[d][self.rot[d].index(b)] = z
         self.rot[z] = [a, d, c, b]
-        self._drop_face(f1)
-        self._drop_face(f2)
+        del self.faces[f1], self.faces[f2], self.edge_face[(b, d)], self.edge_face[(d, b)]
         for tri in ([a, b, z], [b, c, z], [c, d, z], [d, a, z]):
             self._register_face(tri)
         return a, c

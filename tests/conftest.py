@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from oneplanar import canonical_triangulate, gen_random_oneplanar
-from oneplanar.model import AbstractGraph
+from oneplanar.model import AbstractGraph, OnePlanarDrawing
 
 CORPUS_SIZE = 1000
 CORPUS_FRACTIONS = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 2), Fraction(1)]
@@ -46,3 +46,17 @@ def star_graph(leaves: int) -> AbstractGraph:
 
 def complete_graph(k: int) -> AbstractGraph:
     return AbstractGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def without_uncrossed_edges(d: OnePlanarDrawing, every: int) -> OnePlanarDrawing:
+    """d without each `every`-th uncrossed edge (sorted order) whose ends keep degree >= 2."""
+    rot = [list(order) for order in d.rotation]
+    edges = set(d.base.edges)
+    for k, (u, v) in enumerate(sorted(d.base.edges)):
+        if k % every or d.crossing_of_edge(u, v) is not None:
+            continue
+        if len(rot[u]) > 2 and len(rot[v]) > 2:
+            rot[u].remove(v)
+            rot[v].remove(u)
+            edges.remove((u, v))
+    return OnePlanarDrawing(AbstractGraph(d.n, edges), d.crossings, rot)

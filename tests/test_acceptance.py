@@ -36,8 +36,9 @@ from oneplanar import (
 from oneplanar.cli import run_suite
 from oneplanar.corpus import XorShift64Star, write_graph6
 from oneplanar.structure import ConfigurationNotFound
+from oneplanar.triangulation import StepFourDeadlock
 
-from conftest import complete_graph, cycle_graph, path_graph, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, star_graph, without_uncrossed_edges
 
 
 def _report(name: str, ok: bool, extra: str = "") -> None:
@@ -59,12 +60,30 @@ def test_c2_canonical_triangulation(corpus_drawings, corpus_canonical):
     drawings, _ = corpus_drawings
     ts, tri_elapsed = corpus_canonical
     t0 = time.perf_counter()
-    ok = all(is_canonical(T.drawing) for T in ts)
-    deadlocks = 0  # canonical_triangulate raises on deadlock; none occurred
-    idem = all(canonical_triangulate(T.drawing).drawing == T.drawing for T in ts)
+    outputs = [T.drawing for T in ts]
+    changed = sum(T.drawing != d for T, d in zip(ts, drawings))
+    # the generated corpus is canonical already, so thinned copies of every
+    # 10th drawing are what run steps 1-5
+    thinned_changed = deadlocks = 0
+    for d in drawings[::10]:
+        thin = without_uncrossed_edges(d, 3)
+        try:
+            T = canonical_triangulate(thin)
+        except StepFourDeadlock:
+            deadlocks += 1
+            continue
+        thinned_changed += T.drawing != thin
+        outputs.append(T.drawing)
+    ok = all(is_canonical(out) for out in outputs)
+    idem = all(canonical_triangulate(out).drawing == out for out in outputs)
     elapsed = tri_elapsed + time.perf_counter() - t0
-    ok = ok and idem and deadlocks == 0 and elapsed < 60
-    _report("C2 canonical triangulation", ok, f"{elapsed:.1f}s, 0 deadlocks")
+    ok = ok and idem and thinned_changed > 0 and deadlocks == 0 and elapsed < 60
+    _report(
+        "C2 canonical triangulation",
+        ok,
+        f"{elapsed:.1f}s, changed {changed} of {len(drawings)} corpus drawings and "
+        f"{thinned_changed} of {len(drawings[::10])} thinned copies, {deadlocks} deadlocks",
+    )
 
 
 def test_c3_configuration_completeness(corpus_drawings):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from oneplanar import named_instance, save_drawing, write_graph6
+from oneplanar.cli import GEN_N_MAX
 from oneplanar.model import AbstractGraph
 
 
@@ -292,20 +293,25 @@ def test_incomplete_drawing_is_unusable_input(tmp_path):
     _assert_input_error(run_cli("validate", str(p)))
 
 
-def test_huge_vertex_count_is_unusable_input(tmp_path):
-    # the rotation size is compared with n before anything is allocated for
-    # n vertices; the address-space cap turns a regression into a quick
-    # MemoryError (exit 1) instead of a 20 GB allocation
+def _run_capped(*args):
+    # under an address-space cap, a regression that allocates for a huge n
+    # ends in a quick MemoryError (exit 1) instead of a 20 GB allocation
     resource = pytest.importorskip("resource")
-    p = tmp_path / "huge.json"
-    p.write_text('{"n": 100000000, "edges": [], "crossings": [], "rotation": {}}', encoding="utf-8")
     cap = 1 << 30
-    r = subprocess.run(
-        [sys.executable, "-m", "oneplanar", "validate", str(p)],
+    return subprocess.run(
+        [sys.executable, "-m", "oneplanar", *args],
         capture_output=True,
         text=True,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
+
+
+def test_huge_vertex_count_is_unusable_input(tmp_path):
+    # the rotation size is compared with n before anything is allocated for
+    # n vertices
+    p = tmp_path / "huge.json"
+    p.write_text('{"n": 100000000, "edges": [], "crossings": [], "rotation": {}}', encoding="utf-8")
+    r = _run_capped("validate", str(p))
     _assert_input_error(r)
     assert "rotation" in json.loads(r.stderr)["message"]
 
@@ -314,6 +320,32 @@ def test_short_coloring_record_is_unusable_input(octa_file, tmp_path):
     col = tmp_path / "coloring.json"
     col.write_text(json.dumps({"L": 6, "edges": [[0, 1]]}), encoding="utf-8")
     _assert_input_error(run_cli("verify", str(octa_file), str(col)))
+
+
+@pytest.mark.parametrize("kind", ["random_oneplanar", "plane_triangulation"])
+def test_gen_over_the_size_cap_is_unusable_input(tmp_path, kind):
+    out = tmp_path / "d.json"
+    for n in (GEN_N_MAX + 1, 100_000_000):
+        r = _run_capped("gen", "--kind", kind, "--n", str(n), "-o", str(out))
+        _assert_input_error(r)
+        assert str(GEN_N_MAX) in json.loads(r.stderr)["message"]
+        assert not out.exists()
+
+
+def test_run_suite_records_an_over_cap_entry_only(tmp_path):
+    huge = {"name": "huge", "input": {"kind": "gen", "n": 10**30, "seed": 1},
+            "checks": ["validate"]}
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"entries": [huge, GOOD_ENTRY]}), encoding="utf-8")
+    r = _run_capped("run-suite", str(mpath))
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["failures"] == 1
+    huge_entry, good_entry = rep["entries"]
+    assert huge_entry["results"][0]["check"] == "input"
+    assert huge_entry["results"][0]["status"] == "error"
+    assert str(GEN_N_MAX) in huge_entry["results"][0]["detail"]["message"]
+    assert good_entry["results"][0]["status"] == "pass"
 
 
 GOOD_ENTRY = {"name": "good", "input": {"kind": "named", "name": "octahedron"},

@@ -27,11 +27,12 @@ from oneplanar.coloring import (
     ListTooSmall,
     PlanStep,
     StepStats,
+    _PALETTE_SLACK,
     _extend_step,
     _State,
 )
 from oneplanar.corpus import XorShift64Star
-from oneplanar.structure import ConfigurationNotFound
+from oneplanar.structure import CEILINGS, ConfigurationNotFound
 
 from conftest import complete_graph, cycle_graph, path_graph, star_graph
 
@@ -42,6 +43,13 @@ def test_palette_size_values():
     assert palette_size(100) == 198
     assert palette_size(0) == 83
     assert palette_size(2) == 85
+
+
+def test_palette_slack_is_derived_from_the_ceilings():
+    # 1 + sum of (c - 1) over CEILINGS = 1 + 7 + 10 + 13 + 18 + 34
+    assert CEILINGS == (8, 11, 14, 19, 35)
+    assert _PALETTE_SLACK == 83
+    assert all(palette_size(m) == max(2 * m - 2, m + 83) for m in range(200))
 
 
 def test_plan_path3():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,7 @@ from oneplanar import (
     validate_drawing,
 )
 
-from conftest import CORPUS_FRACTIONS
+from conftest import CORPUS_FRACTIONS, without_uncrossed_edges
 
 # K4 drawn with one crossing: quad 0-2-1-3 around crossing 4 on edges 01 x 23
 QUAD_KITE = OnePlanarDrawing(
@@ -187,20 +188,6 @@ def test_trace_faces_rejects_asymmetric_rotation():
         trace_faces([[1], []])
 
 
-def _without_uncrossed_edges(d: OnePlanarDrawing, every: int) -> OnePlanarDrawing:
-    """d without each `every`-th uncrossed edge (sorted order) whose ends keep degree >= 2."""
-    rot = [list(order) for order in d.rotation]
-    edges = set(d.base.edges)
-    for k, (u, v) in enumerate(sorted(d.base.edges)):
-        if k % every or d.crossing_of_edge(u, v) is not None:
-            continue
-        if len(rot[u]) > 2 and len(rot[v]) > 2:
-            rot[u].remove(v)
-            rot[v].remove(u)
-            edges.remove((u, v))
-    return OnePlanarDrawing(AbstractGraph(d.n, edges), d.crossings, rot)
-
-
 def _networkx_face_lengths(rotation) -> list[int]:
     nx = pytest.importorskip("networkx")
     emb = nx.PlanarEmbedding()
@@ -222,7 +209,7 @@ def test_trace_faces_agrees_with_networkx():
         for n in (10, 47, 120, 200)
         for k, frac in enumerate(CORPUS_FRACTIONS)
     ]
-    thinned = [_without_uncrossed_edges(d, 3) for d in drawings[5:8]]
+    thinned = [without_uncrossed_edges(d, 3) for d in drawings[5:8]]
     for d in thinned:
         assert validate_drawing(d).valid and not is_canonical(d)
     for d in drawings + thinned:
@@ -241,6 +228,25 @@ def test_canonical_drawing_is_traced_once(monkeypatch):
     led = apply_rules(T, initial_charges(T))
     assert led.total() == -8 and special_faces(T)
     assert len(calls) == 1
+
+
+def test_non_canonical_drawing_is_traced_twice(monkeypatch):
+    # once for the input, whose faces seed the triangulation's embedding, and
+    # once when is_canonical validates the output from scratch
+    d = without_uncrossed_edges(gen_random_oneplanar(150, Fraction(1, 2), 11), 3)
+    calls = []
+    real = model.trace_faces
+
+    def counted(rot):
+        calls.append(1)
+        return real(rot)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("oneplanar")]:
+        if getattr(mod, "trace_faces", None) is real:
+            monkeypatch.setattr(mod, "trace_faces", counted)
+    T = canonical_triangulate(d)
+    assert T.added_fill_edges and is_canonical(T.drawing)
+    assert len(calls) == 2
 
 
 def test_drawing_is_validated_once(monkeypatch):

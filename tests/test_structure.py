@@ -27,9 +27,10 @@ from oneplanar import gen_random_oneplanar
 def _single_crossing_fixture() -> CanonicalTriangulation:
     """5 vertices, one crossing: edge 2-4 crossing 1-3 inside a triangulation."""
     from oneplanar.embedding import MutableEmbedding
-    from oneplanar.model import AbstractGraph, normalize_edge
+    from oneplanar.model import AbstractGraph, normalize_edge, trace_faces
 
-    emb = MutableEmbedding([[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]])  # planar K4
+    rot = [[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]]  # planar K4
+    emb = MutableEmbedding(rot, trace_faces(rot).faces)
     fid = next(f for f, face in emb.faces.items() if sorted(face) == [0, 1, 3])
     emb.insert_vertex_in_face(fid, 4)
     a, c = emb.insert_crossing(1, 3, 5)
