@@ -4,15 +4,21 @@ Usage, from the repository root:
 
     python3 scripts/scale.py -o BENCH_scale.json [--repeats 3]
 
-For each n it generates ``gen_random_oneplanar(n, 1/2, 7)`` and a thinned
-copy ``thin_drawing(d, 1/2, 1/2, 7)`` (the benchmark's thinning, so that
+For each crossing fraction f in FRACTIONS (0, 1/2 and 1) and each n it
+generates ``gen_random_oneplanar(n, f, 7)`` and a thinned copy
+``thin_drawing(d, 1/2, 1/2, 7)`` (the benchmark's thinning, so that
 triangulation steps 1-5 run), then times these layers, each the minimum of
 ``--repeats`` runs in CPU time (``time.process_time``) and in wall time:
 
-- ``validate``: ``validate_drawing`` of the drawing;
+- ``gen``: ``gen_random_oneplanar(n, f, 7)``;
+- ``write_json`` and ``read_json``: ``write_drawing_json`` of that drawing
+  and ``read_drawing_json`` of its text;
 - ``triangulate_thinned``: ``canonical_triangulate`` of the thinned copy,
   its input validation included;
-- ``initial_charges`` and ``apply_rules`` on the (already canonical) drawing;
+- ``validate``: ``validate_drawing`` of the drawing read back;
+- ``census``: ``classify_neighbors`` of every vertex of its (already
+  canonical) triangulation;
+- ``initial_charges`` and ``apply_rules`` on that triangulation;
 - ``color_run`` of its graph, plan included;
 - ``verify``: ``verify_acyclic`` of that coloring.
 
@@ -41,6 +47,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from oneplanar import (  # noqa: E402
     apply_rules,
     canonical_triangulate,
+    classify_neighbors,
     color_run,
     gen_random_oneplanar,
     initial_charges,
@@ -51,9 +58,10 @@ from oneplanar.corpus import read_drawing_json, write_drawing_json  # noqa: E402
 from perfbench.inputs import thin_drawing  # noqa: E402
 
 SIZES = (1000, 4000, 16000)
-FRACTION = Fraction(1, 2)
+FRACTIONS = (Fraction(0), Fraction(1, 2), Fraction(1))
 SEED = 7
-LAYERS = ("triangulate_thinned", "validate", "initial_charges", "apply_rules", "color_run", "verify")
+LAYERS = ("gen", "write_json", "read_json", "triangulate_thinned", "validate", "census",
+          "initial_charges", "apply_rules", "color_run", "verify")
 
 
 def _digest(*parts) -> str:
@@ -70,19 +78,33 @@ def _timed(fn, *args):
     return out, time.process_time() - c0, time.perf_counter() - w0
 
 
-def _one_repetition(text: str, thin_text: str) -> dict[str, tuple[str, float, float]]:
-    """Every layer once, on drawings freshly read from JSON; name -> (digest, cpu, wall)."""
+def _census(T) -> list:
+    return [classify_neighbors(T, v) for v in range(T.drawing.n)]
+
+
+def _one_repetition(n: int, fraction: Fraction, thin_text: str) -> dict[str, tuple]:
+    """Every layer once, on fresh drawings; name -> (digest, cpu, wall)."""
     out = {}
+    d, cpu, wall = _timed(gen_random_oneplanar, n, fraction, SEED)
+    text, cpu_w, wall_w = _timed(write_drawing_json, d)
+    out["gen"] = (_digest(text), cpu, wall)
+    out["write_json"] = (_digest(text), cpu_w, wall_w)
+    del d
+    d, cpu, wall = _timed(read_drawing_json, text)
+    out["read_json"] = (_digest(write_drawing_json(d)), cpu, wall)
+
     T, cpu, wall = _timed(canonical_triangulate, read_drawing_json(thin_text))
     provenance = (T.added_kite_edges, T.removed_duplicates, T.temporarily_removed,
                   T.added_fill_edges)
     out["triangulate_thinned"] = (_digest(write_drawing_json(T.drawing), provenance), cpu, wall)
     del T
 
-    d = read_drawing_json(text)
     rep, cpu, wall = _timed(validate_drawing, d)
     out["validate"] = (_digest(rep.valid, sorted(rep.stats.items())), cpu, wall)
     T = canonical_triangulate(d)
+    census, cpu, wall = _timed(_census, T)
+    out["census"] = (_digest(census), cpu, wall)
+    del census
     led0, cpu, wall = _timed(initial_charges, T)
     out["initial_charges"] = (_digest(sorted(led0.charges.items(), key=repr)), cpu, wall)
     led1, cpu, wall = _timed(apply_rules, T, led0)
@@ -98,16 +120,16 @@ def _one_repetition(text: str, thin_text: str) -> dict[str, tuple[str, float, fl
     return out
 
 
-def measure(n: int, repeats: int) -> dict:
-    d = gen_random_oneplanar(n, FRACTION, SEED)
+def measure(n: int, fraction: Fraction, repeats: int) -> dict:
+    d = gen_random_oneplanar(n, fraction, SEED)
     thin = thin_drawing(d, Fraction(1, 2), Fraction(1, 2), SEED)
-    text, thin_text = write_drawing_json(d), write_drawing_json(thin)
-    runs = [_one_repetition(text, thin_text) for _ in range(repeats)]
+    thin_text = write_drawing_json(thin)
+    runs = [_one_repetition(n, fraction, thin_text) for _ in range(repeats)]
     layers = {}
     for name in LAYERS:
         digests = {r[name][0] for r in runs}
         if len(digests) != 1:
-            raise SystemExit(f"{name} at n={n}: outputs differ between repetitions")
+            raise SystemExit(f"{name} at n={n}, f={fraction}: outputs differ between repetitions")
         layers[name] = {
             "cpu_s": round(min(r[name][1] for r in runs), 4),
             "wall_s": round(min(r[name][2] for r in runs), 4),
@@ -131,31 +153,34 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    sizes = []
-    for n in SIZES:
-        sizes.append(measure(n, args.repeats))
-        cells = ", ".join(f"{k} {v['cpu_s']:.3f}" for k, v in sizes[-1]["layers"].items())
-        print(f"n={n}: {cells} (CPU s)", flush=True)
-    growth = {
-        name: {
-            f"{a['n']}->{b['n']}": round(b["layers"][name]["cpu_s"] / a["layers"][name]["cpu_s"], 2)
-            for a, b in zip(sizes, sizes[1:])
+    fractions = []
+    for fraction in FRACTIONS:
+        sizes = []
+        for n in SIZES:
+            sizes.append(measure(n, fraction, args.repeats))
+            cells = ", ".join(f"{k} {v['cpu_s']:.3f}" for k, v in sizes[-1]["layers"].items())
+            print(f"f={fraction} n={n}: {cells} (CPU s)", flush=True)
+        growth = {
+            name: {
+                f"{a['n']}->{b['n']}": round(
+                    b["layers"][name]["cpu_s"] / a["layers"][name]["cpu_s"], 2
+                )
+                for a, b in zip(sizes, sizes[1:])
+            }
+            for name in LAYERS
         }
-        for name in LAYERS
-    }
+        fractions.append({"fraction": str(fraction), "sizes": sizes, "cpu_growth_per_4x": growth})
+        for name, ratios in growth.items():
+            print(f"f={fraction} {name}: CPU growth {ratios}")
     record = {
         "what": "per-layer time, min of repeats, fresh drawing per repetition",
-        "fraction": str(FRACTION),
         "seed": SEED,
         "repeats": args.repeats,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "sizes": sizes,
-        "cpu_growth_per_4x": growth,
+        "fractions": fractions,
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    for name, ratios in growth.items():
-        print(f"{name}: CPU growth {ratios}")
     return 0
 
 

@@ -43,7 +43,6 @@ from .structure import (
     find_configuration,
     find_light_path3,
     find_light_star3,
-    mirror_triangle_census,
 )
 from .discharging import (
     AuditReport,

@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -161,7 +162,8 @@ def _is_int_list(x) -> bool:
 
 
 def _edge_records(doc, what: str, value_ok, value_desc: str) -> dict[Edge, object]:
-    """The [u, v, value] records of a coloring or list document, keyed by edge."""
+    """The [u, v, value] records of a coloring or list document, keyed by edge;
+    a second record of an edge, in either orientation, is unusable input."""
     if not isinstance(doc, dict) or not isinstance(doc.get("edges"), list):
         raise _InputError(f"{what} JSON needs a list field edges")
     out: dict[Edge, object] = {}
@@ -177,7 +179,11 @@ def _edge_records(doc, what: str, value_ok, value_desc: str) -> dict[Edge, objec
             raise _InputError(
                 f"{what} edges[{i}]: expected [u, v, {value_desc}] with distinct integers u, v"
             )
-        out[normalize_edge(rec[0], rec[1])] = rec[2]
+        e = normalize_edge(rec[0], rec[1])
+        if e in out:
+            first = next(j for j, r in enumerate(doc["edges"]) if normalize_edge(r[0], r[1]) == e)
+            raise _InputError(f"{what} edges[{i}]: edge {list(e)} already given by edges[{first}]")
+        out[e] = rec[2]
     return out
 
 
@@ -386,11 +392,14 @@ def _cmd_census(args) -> int:
     T = canonical_triangulate(d)
     c = classify_neighbors(T, args.vertex)
     obs = check_observations(T)
+    crossings = len(c.mirror_triangles)
+    by_label = Counter(t.label for t in c.mirror_triangles)
+    by_degree = Counter(T.base.degree(u) for u in c.cyclic_neighbors)
     doc = {
         "center": c.center,
         "cyclic_neighbors": list(c.cyclic_neighbors),
         "labels": list(c.labels),
-        "crossing_count": c.crossing_count,
+        "crossing_count": crossings,
         "mirror_triangles": [
             {"crossing": t.crossing, "mirror": t.mirror, "images": list(t.images), "label": t.label}
             for t in c.mirror_triangles
@@ -401,14 +410,14 @@ def _cmd_census(args) -> int:
         ],
         "intervals": [list(i) for i in c.intervals],
         "counts": {
-            "mirror_triangles": c.mirror_triangle_count,
-            "light": c.light_count,
-            "heavy": c.heavy_count,
-            "class1": c.class1_count,
-            "class2": c.class2_count,
-            "class3": c.class3_count,
+            "mirror_triangles": crossings,
+            "light": crossings - by_label["heavy"],
+            "heavy": by_label["heavy"],
+            "class1": by_label["I"],
+            "class2": by_label["II"],
+            "class3": by_label["III"],
         },
-        "degree_counts": {str(k): v for k, v in sorted(c.degree_counts.items())},
+        "degree_counts": {str(k): v for k, v in sorted(by_degree.items())},
         "observations": {"errors": len(obs.errors), "warnings": len(obs.warnings)},
     }
     _emit(doc, args.format, [f"vertex {c.center}: labels {list(c.labels)}"])

@@ -109,23 +109,16 @@ def apply_rules(T: CanonicalTriangulation, ledger: ChargeLedger) -> ChargeLedger
     d = T.drawing
     n = d.n
     fl = d.face_list
-    charges = dict(ledger.charges)
-    transcript = list(ledger.transcript)
-
-    def move(rule: str, src: ChargeKey, dst: ChargeKey, amount: Fraction) -> None:
-        charges[src] -= amount
-        charges[dst] += amount
-        transcript.append(Transfer(rule, src, dst, amount))
-
+    transcript: list[Transfer] = []
     special = set(special_faces(T))
     for i, f in enumerate(fl.faces):
         if i in special:
             continue
         for v in sorted(f):
-            move("triangle", v, ("face", i), Fraction(1, 3))
+            transcript.append(Transfer("triangle", v, ("face", i), Fraction(1, 3)))
     for i in sorted(special):
         for v in sorted(w for w in fl.faces[i] if w < n):
-            move("crossing-triangle", v, ("face", i), Fraction(1, 2))
+            transcript.append(Transfer("crossing-triangle", v, ("face", i), Fraction(1, 2)))
 
     degree = d.base.degree
     for c, top, amounts in zip(CEILINGS, (*CEILINGS[1:], None), _BAND_RULES, strict=True):
@@ -137,8 +130,8 @@ def apply_rules(T: CanonicalTriangulation, ledger: ChargeLedger) -> ChargeLedger
             for u in sorted(d.base.neighbors(v)):
                 amount = table.get(degree(u))
                 if amount is not None:
-                    move(rule, v, u, amount)
-    return ChargeLedger(charges, tuple(transcript))
+                    transcript.append(Transfer(rule, v, u, amount))
+    return replay(ledger, transcript)
 
 
 def replay(initial: ChargeLedger, transcript: Iterable[Transfer]) -> ChargeLedger:

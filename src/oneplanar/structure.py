@@ -13,8 +13,7 @@ image pair) and is light when all three degrees are at most 7.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Collection
 
 from .model import AbstractGraph, OnePlanarError
@@ -157,20 +156,19 @@ class Segment:
 
 @dataclass(frozen=True)
 class StructureCensus:
+    """What v's rotation determines: its cyclic neighbors (each crossing
+    replaced by its mirror), a label per slot, the mirror triangles in
+    rotation order, the segments and the intervals between them (interval
+    i runs from the end of segment i to the start of the next, both ends
+    included).  Counts by triangle label or by neighbor degree are tallies
+    of these fields and are not stored."""
+
     center: int
     cyclic_neighbors: tuple[int, ...]
     labels: tuple[str, ...]
     mirror_triangles: tuple[MirrorTriangle, ...]
     segments: tuple[Segment, ...]
     intervals: tuple[tuple[int, ...], ...]
-    crossing_count: int
-    mirror_triangle_count: int
-    light_count: int
-    heavy_count: int
-    class1_count: int
-    class2_count: int
-    class3_count: int
-    degree_counts: dict[int, int] = field(repr=False)
 
 
 def classify_neighbors(T: CanonicalTriangulation, v: int) -> StructureCensus:
@@ -185,7 +183,7 @@ def classify_neighbors(T: CanonicalTriangulation, v: int) -> StructureCensus:
 
     neighbors: list[int] = []
     labels: list[str] = ["normal"] * deg
-    mirror_slots: list[int] = []
+    slots: list[int] = []
     triangles: list[MirrorTriangle] = []
     for k, x in enumerate(rot):
         if x < n:
@@ -201,9 +199,8 @@ def classify_neighbors(T: CanonicalTriangulation, v: int) -> StructureCensus:
         mirror = own[0] if own[1] == v else own[1]
         neighbors.append(mirror)
         labels[k] = "mirror"
-        mirror_slots.append(k)
-        prev_n, next_n = rot[(k - 1) % deg], rot[(k + 1) % deg]
-        if {prev_n, next_n} != set(other):
+        slots.append(k)
+        if {rot[k - 1], rot[(k + 1) % deg]} != set(other):
             raise OnePlanarError(
                 f"rotation at {v} around crossing {x} is not flanked by {other}"
             )
@@ -217,61 +214,31 @@ def classify_neighbors(T: CanonicalTriangulation, v: int) -> StructureCensus:
                 ),
             )
         )
-    for k in mirror_slots:
-        for j in ((k - 1) % deg, (k + 1) % deg):
-            labels[j] = "image"
+    for k in slots:
+        labels[k - 1] = labels[(k + 1) % deg] = "image"
+
+    def arc(start: int, length: int) -> tuple[int, ...]:
+        return tuple(neighbors[(start + t) % deg] for t in range(length))
 
     segments: list[Segment] = []
     intervals: list[tuple[int, ...]] = []
-    c_count = len(mirror_slots)
-    if c_count and 2 * c_count == deg:
-        # fully alternating cycle: one wrapping segment, no gaps
-        start = (mirror_slots[0] - 1) % deg
-        verts = tuple(neighbors[(start + t) % deg] for t in range(deg + 1))
-        segments.append(Segment(verts, c_count, True))
-    elif c_count:
-        # chain mirror slots whose cyclic distance is 2 (shared image vertex)
-        slots = mirror_slots
-        breaks = [
-            i
-            for i in range(len(slots))
-            if (slots[i] - slots[i - 1]) % deg != 2
-        ]
+    if slots and 2 * len(slots) == deg:
+        # fully alternating cycle: one wrapping segment, no intervals
+        segments.append(Segment(arc(slots[0] - 1, deg + 1), len(slots), True))
+    elif slots:
+        # chains of slots two apart (consecutive mirrors share an image),
+        # starting at a slot whose gap from the previous one is not 2
+        s = next(i for i, k in enumerate(slots) if (k - slots[i - 1]) % deg != 2)
         chains: list[list[int]] = []
-        for b, start in enumerate(breaks):
-            end = breaks[(b + 1) % len(breaks)]
-            chain = []
-            i = start
-            while True:
-                chain.append(slots[i])
-                if i == (end - 1) % len(slots):
-                    break
-                i = (i + 1) % len(slots)
-            chains.append(chain)
-        for chain in chains:
-            first, last = chain[0], chain[-1]
-            length = 2 * len(chain) + 1
-            verts = tuple(neighbors[(first - 1 + t) % deg] for t in range(length))
-            segments.append(Segment(verts, len(chain), False))
-        for i in range(len(segments)):
-            # gap from the end slot of segment i to the start slot of the next,
-            # both endpoints included
-            end_slot = (chains[i][-1] + 1) % deg
-            start_slot = (chains[(i + 1) % len(chains)][0] - 1) % deg
-            gap = []
-            t = end_slot
-            while True:
-                gap.append(neighbors[t])
-                if t == start_slot:
-                    break
-                t = (t + 1) % deg
-            intervals.append(tuple(gap))
+        for k in slots[s:] + slots[:s]:
+            if chains and (k - chains[-1][-1]) % deg == 2:
+                chains[-1].append(k)
+            else:
+                chains.append([k])
+        for chain, after in zip(chains, chains[1:] + chains[:1]):
+            segments.append(Segment(arc(chain[0] - 1, 2 * len(chain) + 1), len(chain), False))
+            intervals.append(arc(chain[-1] + 1, (after[0] - chain[-1] - 2) % deg + 1))
 
-    labels_by = Counter(t.label for t in triangles)
-    heavy = labels_by.get("heavy", 0)
-    c1 = labels_by.get("I", 0)
-    c2 = labels_by.get("II", 0)
-    c3 = labels_by.get("III", 0)
     return StructureCensus(
         center=v,
         cyclic_neighbors=tuple(neighbors),
@@ -279,26 +246,7 @@ def classify_neighbors(T: CanonicalTriangulation, v: int) -> StructureCensus:
         mirror_triangles=tuple(triangles),
         segments=tuple(segments),
         intervals=tuple(intervals),
-        crossing_count=c_count,
-        mirror_triangle_count=len(triangles),
-        light_count=c1 + c2 + c3,
-        heavy_count=heavy,
-        class1_count=c1,
-        class2_count=c2,
-        class3_count=c3,
-        degree_counts=dict(Counter(g.degree(u) for u in neighbors)),
     )
-
-
-def mirror_triangle_census(T: CanonicalTriangulation, v: int) -> dict[str, int]:
-    """Counts of v's mirror triangles by class."""
-    c = classify_neighbors(T, v)
-    return {
-        "heavy": c.heavy_count,
-        "I": c.class1_count,
-        "II": c.class2_count,
-        "III": c.class3_count,
-    }
 
 
 # --------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from oneplanar import named_instance, save_drawing, write_graph6
-from oneplanar.cli import GEN_N_MAX
+from oneplanar import gen_random_oneplanar, named_instance, save_drawing, write_graph6
+from oneplanar.cli import GEN_N_MAX, main
 from oneplanar.model import AbstractGraph
+
+from conftest import without_uncrossed_edges
 
 
 def run_cli(*args, cwd=None):
@@ -78,6 +82,45 @@ def test_census(octa_file):
     doc = json.loads(r.stdout)
     assert doc["labels"] == ["normal"] * 4
     assert doc["crossing_count"] == 0
+
+
+# sha256 of "<exit code>\n<stdout>" of `census --vertex v` for every vertex v in
+# order, per input and format; the thinned copy is not canonical, so its
+# census runs on the triangulated graph
+CENSUS_PINS = {
+    "k6_1planar": (
+        "93d2cb8f8fdc157ef39ac696165f718709afc96a8579c26d654a70eddf013647",
+        "9dd35af7f6546a5b172547242fbd110e9f52365ede4af71c2d34de4f6f8f42e0",
+    ),
+    "gen-40-1/2-3": (
+        "16ab00d462fbf5aed2650b382bc1f270b72b1178bdfe52f2daf007e57730f83a",
+        "672c0681fe9ade244b37fac812a6f2feac976a24a4adb5ef2065f2c7934c3dbc",
+    ),
+    "thinned-40-1/2-3": (
+        "d3f5628d749a26e3ffc5f23d7390e1c9a1b08b82c1f5f8da00cb4bf83961fd28",
+        "42bec4c16d55e6dda584c330f08f2d338a0081faa9f81353bc5df5a8c5867dea",
+    ),
+}
+
+
+def _census_input(name: str):
+    if name == "k6_1planar":
+        return named_instance(name)
+    d = gen_random_oneplanar(40, Fraction(1, 2), 3)
+    return without_uncrossed_edges(d, 2) if name.startswith("thinned") else d
+
+
+@pytest.mark.parametrize("name", sorted(CENSUS_PINS))
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_census_output_pinned(tmp_path, capsys, name, fmt):
+    d = _census_input(name)
+    path = tmp_path / "d.json"
+    save_drawing(d, path)
+    h = hashlib.sha256()
+    for v in range(d.n):
+        code = main(["census", str(path), "--vertex", str(v), "--format", fmt])
+        h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert h.hexdigest() == CENSUS_PINS[name][fmt == "text"]
 
 
 def test_find_config_drawing_and_g6(tmp_path, octa_file):
@@ -392,3 +435,33 @@ def test_gen_bad_fraction_is_unusable_input(tmp_path, fraction):
 
 def test_census_vertex_out_of_range_is_unusable_input(octa_file):
     _assert_input_error(run_cli("census", str(octa_file), "--vertex", "99"))
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_repeated_coloring_record_is_unusable_input(tmp_path, first):
+    k4 = tmp_path / "k4.json"
+    save_drawing(named_instance("k4"), k4)
+    col = tmp_path / "coloring.json"
+    assert run_cli("color", str(k4), "-o", str(col)).returncode == 0
+    doc = json.loads(col.read_text())
+    color_02 = next(c for u, v, c in doc["edges"] if (u, v) == (0, 2))
+    # edge 0-1 again, reversed, with a color that clashes at vertex 0
+    extra = [1, 0, color_02]
+    doc["edges"] = [extra, *doc["edges"]] if first else [*doc["edges"], extra]
+    col.write_text(json.dumps(doc), encoding="utf-8")
+    r = run_cli("verify", str(k4), str(col))
+    _assert_input_error(r)
+    index = 0 if first else len(doc["edges"]) - 1
+    assert f"edges[{index}]" in json.loads(r.stderr)["message"]
+
+
+def test_repeated_list_record_is_unusable_input(tmp_path):
+    k4 = tmp_path / "k4.json"
+    save_drawing(named_instance("k4"), k4)
+    records = [[u, v, list(range(90))] for u in range(4) for v in range(u + 1, 4)]
+    lists = tmp_path / "lists.json"
+    extra = [3, 2, list(range(5, 95))]  # edge 2-3 again, reversed, with another usable list
+    lists.write_text(json.dumps({"edges": [*records, extra]}), encoding="utf-8")
+    r = run_cli("color", str(k4), "--lists", str(lists))
+    _assert_input_error(r)
+    assert f"edges[{len(records)}]" in json.loads(r.stderr)["message"]

@@ -13,7 +13,6 @@ from oneplanar import (
     find_configuration,
     find_light_path3,
     find_light_star3,
-    mirror_triangle_census,
     named_instance,
 )
 from oneplanar.model import Crossing, OnePlanarDrawing
@@ -57,7 +56,7 @@ def test_single_crossing_census():
     T = _single_crossing_fixture()
     center = 4 if T.drawing.base.degree(4) == 4 else 2
     c = classify_neighbors(T, center)
-    assert c.crossing_count == 1
+    assert len(c.mirror_triangles) == 1
     assert c.labels.count("mirror") == 1
     assert c.labels.count("image") == 2
     assert len(c.segments) == 1
@@ -71,13 +70,13 @@ def test_plane_vertex_all_normal():
     T = canonical_triangulate(named_instance("octahedron"))
     c = classify_neighbors(T, 0)
     assert set(c.labels) == {"normal"}
-    assert c.crossing_count == 0 and not c.segments and c.mirror_triangle_count == 0
+    assert not c.mirror_triangles and not c.segments and not c.intervals
 
 
 def test_shared_image_gives_scope_two():
     T = canonical_triangulate(named_instance("k6_1planar"))
     c = classify_neighbors(T, 0)
-    assert c.crossing_count == 2
+    assert len(c.mirror_triangles) == 2
     assert len(c.segments) == 1
     seg = c.segments[0]
     assert seg.scope == 2 and len(seg.vertices) == 5
@@ -99,11 +98,7 @@ def test_census_identities_over_corpus(corpus_canonical):
                 continue
             c = classify_neighbors(T, v)
             deg = d.base.degree(v)
-            assert c.mirror_triangle_count == c.crossing_count
-            assert c.class1_count + c.class2_count + c.class3_count == c.light_count
-            assert c.light_count + c.heavy_count == c.mirror_triangle_count
-            assert sum(c.degree_counts.values()) == deg
-            assert sum(s.scope for s in c.segments) == c.crossing_count
+            assert sum(s.scope for s in c.segments) == len(c.mirror_triangles)
             if len(c.segments) == 1 and c.segments[0].wraps:
                 wrap_seen += 1
                 assert 2 * c.segments[0].scope == deg
@@ -123,10 +118,9 @@ def test_census_identities_over_corpus(corpus_canonical):
     assert wrap_seen > 0  # the corpus genuinely exercises the wrap case
 
 
-def test_mirror_triangle_census_counts():
+def test_mirror_triangle_labels():
     T = canonical_triangulate(named_instance("k6_1planar"))
-    counts = mirror_triangle_census(T, 0)
-    assert counts == {"heavy": 0, "I": 0, "II": 2, "III": 0}
+    assert [t.label for t in classify_neighbors(T, 0).mirror_triangles] == ["II", "II"]
 
 
 def test_find_configuration_degree_two_is_c1():
