@@ -37,13 +37,16 @@ class MutableEmbedding:
 
     # -- construction ------------------------------------------------------
 
-    def _register_face(self, walk: list[int]) -> int:
-        fid = self._next_fid
-        self._next_fid += 1
+    def _set_face(self, fid: int, walk: list[int]) -> None:
         self.faces[fid] = walk
         L = len(walk)
         for i in range(L):
             self.edge_face[(walk[i], walk[(i + 1) % L])] = fid
+
+    def _register_face(self, walk: list[int]) -> int:
+        fid = self._next_fid
+        self._next_fid += 1
+        self._set_face(fid, walk)
         return fid
 
     # -- queries -----------------------------------------------------------
@@ -169,28 +172,6 @@ class MutableEmbedding:
                 return i
         raise EmbeddingError(f"directed edge ({u},{v}) not on face {face}")
 
-    def smooth_degree2(self, z: int) -> None:
-        """Replace a degree-2 vertex z on path u-z-v by the direct edge u-v."""
-        order = self.rot[z]
-        if len(order) != 2:
-            raise EmbeddingError(f"vertex {z} has degree {len(order)}, cannot smooth")
-        u, v = order
-        if u == v or self.has_edge(u, v):
-            raise EmbeddingError(f"smoothing {z} would create a multi-edge {u}-{v}")
-        self.rot[u][self.rot[u].index(z)] = v
-        self.rot[v][self.rot[v].index(z)] = u
-        for fid in {self.edge_face[(u, z)], self.edge_face[(v, z)]}:
-            face = [w for w in self.faces[fid] if w != z]
-            old = self.faces[fid]
-            L = len(old)
-            for i in range(L):
-                del self.edge_face[(old[i], old[(i + 1) % L])]
-            self.faces[fid] = face
-            L = len(face)
-            for i in range(L):
-                self.edge_face[(face[i], face[(i + 1) % L])] = fid
-        del self.rot[z]
-
     def insert_crossing(self, b: int, d: int, z: int) -> tuple[int, int]:
         """Replace edge b-d by a new edge crossing it at new vertex z.
 
@@ -225,8 +206,9 @@ class MutableEmbedding:
     def remove_crossing(self, z: int, removed: tuple[int, int]) -> None:
         """Delete one of the two edges crossing at z; the other becomes whole.
 
-        Every precondition of the two half-edge deletions and the smoothing
-        is checked first, so a refused removal leaves the embedding untouched.
+        Every precondition of the two half-edge deletions and of smoothing
+        z away is checked first, so a refused removal leaves the embedding
+        untouched.  Smoothing z away keeps the ids of the faces it lies on.
         """
         x, y = removed
         order = self.rot[z]
@@ -239,4 +221,10 @@ class MutableEmbedding:
             raise EmbeddingError(f"smoothing {z} would create a multi-edge {u}-{v}")
         self.delete_edge(x, z)
         self.delete_edge(z, y)
-        self.smooth_degree2(z)
+        # z is left on the path u-z-v alone: join u to v directly
+        self.rot[u][self.rot[u].index(z)] = v
+        self.rot[v][self.rot[v].index(z)] = u
+        for fid in {self.edge_face[(u, z)], self.edge_face[(v, z)]}:
+            self._set_face(fid, [w for w in self.faces[fid] if w != z])
+        del self.rot[z], self.edge_face[(u, z)], self.edge_face[(z, u)]
+        del self.edge_face[(v, z)], self.edge_face[(z, v)]

@@ -224,31 +224,23 @@ class FaceList:
     genus: int
     euler_ok: bool
 
-    def lengths(self) -> list[int]:
-        return [len(f) for f in self.faces]
 
-    @property
-    def total_length(self) -> int:
-        return sum(len(f) for f in self.faces)
-
-
-def _component_labels(rotation: Sequence[Sequence[int]]) -> tuple[list[int], int]:
-    """Component label of every id (walking rotation entries) and the count."""
-    comp = [-1] * len(rotation)
+def _component_count(rotation: Sequence[Sequence[int]]) -> int:
+    """Number of connected components, walking rotation entries."""
+    seen = [False] * len(rotation)
     components = 0
     for s in range(len(rotation)):
-        if comp[s] >= 0:
+        if seen[s]:
             continue
         stack = [s]
-        comp[s] = components
+        seen[s] = True
         while stack:
-            w = stack.pop()
-            for x in rotation[w]:
-                if comp[x] < 0:
-                    comp[x] = components
+            for x in rotation[stack.pop()]:
+                if not seen[x]:
+                    seen[x] = True
                     stack.append(x)
         components += 1
-    return comp, components
+    return components
 
 
 def trace_faces(rotation: Sequence[Sequence[int]]) -> FaceList:
@@ -256,9 +248,11 @@ def trace_faces(rotation: Sequence[Sequence[int]]) -> FaceList:
 
     The successor convention: having arrived at w along (u -> w), the walk
     leaves along (w -> x) where x follows u in rotation[w].  Raises
-    MalformedDrawingError if the rotation is not symmetric or lists a
-    neighbor twice (both break the traversal).
+    MalformedDrawingError if an entry is not a neighbor id (outside
+    0..len-1, or the vertex itself), the rotation is not symmetric or it
+    lists a neighbor twice (each breaks the traversal).
     """
+    total = len(rotation)
     succ: list[dict[int, int]] = []
     for w, order in enumerate(rotation):
         if len(set(order)) != len(order):
@@ -266,45 +260,34 @@ def trace_faces(rotation: Sequence[Sequence[int]]) -> FaceList:
         succ.append({u: order[(k + 1) % len(order)] for k, u in enumerate(order)})
     for w, order in enumerate(rotation):
         for u in order:
+            if not 0 <= u < total or u == w:
+                raise MalformedDrawingError(f"rotation[{w}] lists {u}, not a neighbor id")
             if w not in succ[u]:
                 raise MalformedDrawingError(
                     f"rotation is asymmetric: {u} in rotation[{w}] but not conversely"
                 )
 
-    seen: set[tuple[int, int]] = set()
+    # the walk leaves x after arriving along (a -> x) by taking succ[x][a];
+    # popping it marks (a -> x) walked, so each directed edge is walked once
     faces: list[tuple[int, ...]] = []
-    for u in range(len(rotation)):
+    for u in range(total):
         for v in rotation[u]:
-            if (u, v) in seen:
+            if u not in succ[v]:
                 continue
             walk: list[int] = []
-            cur = (u, v)
-            while cur not in seen:
-                seen.add(cur)
-                walk.append(cur[0])
-                cur = (cur[1], succ[cur[1]][cur[0]])
+            a, x = u, v
+            while a in succ[x]:
+                walk.append(a)
+                a, x = x, succ[x].pop(a)
             faces.append(tuple(walk))
 
-    # per-component Euler check; an isolated vertex counts one face
-    comp, components = _component_labels(rotation)
-    cv = [0] * components
-    ce = [0] * components
-    cf = [0] * components
-    for w in range(len(rotation)):
-        cv[comp[w]] += 1
-        ce[comp[w]] += len(rotation[w])
-    for f in faces:
-        cf[comp[f[0]]] += 1
-    genus = 0
-    euler_ok = True
-    for i in range(components):
-        e = ce[i] // 2
-        f = cf[i] if ce[i] else 1
-        chi = cv[i] - e + f
-        if chi != 2:
-            euler_ok = False
-        genus += (2 - chi) // 2
-    return FaceList(tuple(faces), components, genus, euler_ok)
+    # each component has v - e + f = 2 - 2g <= 2 (an isolated vertex counts
+    # one face), so one total over all components decides the genus
+    components = _component_count(rotation)
+    isolated = sum(1 for order in rotation if not order)
+    chi = total - sum(map(len, rotation)) // 2 + len(faces) + isolated
+    genus = (2 * components - chi) // 2
+    return FaceList(tuple(faces), components, genus, genus == 0)
 
 
 @dataclass(frozen=True)
@@ -499,4 +482,4 @@ def associated_plane_graph(
 
 def planarization_components(d: OnePlanarDrawing) -> int:
     """Number of connected components of the planarization (drawing pieces)."""
-    return _component_labels(d.rotation)[1]
+    return _component_count(d.rotation)

@@ -98,18 +98,9 @@ def canonical_triangulate(d: OnePlanarDrawing) -> CanonicalTriangulation:
     gadj: set[Edge] = set(d.base.edges)
     # working crossing state: planarization id -> original record
     work: dict[int, Crossing] = {n + i: c for i, c in enumerate(d.crossings)}
-    edge_cross: dict[Edge, int] = {}
-    for z, c in work.items():
-        edge_cross[c.e1] = z
-        edge_cross[c.e2] = z
 
     added_kite: list[Edge] = []
     removed_dup: list[Edge] = []
-
-    def drop_crossing_record(z: int) -> None:
-        c = work.pop(z)
-        edge_cross.pop(c.e1, None)
-        edge_cross.pop(c.e2, None)
 
     # steps 1-2: complete the quad of triangles around each crossing
     for z in sorted(work):
@@ -123,14 +114,11 @@ def canonical_triangulate(d: OnePlanarDrawing) -> CanonicalTriangulation:
                 continue
             e = normalize_edge(x, y)
             if e in gadj:
-                other = edge_cross.get(e)
-                if other is not None:
-                    if other == z:
-                        raise TriangulationError(
-                            f"edge {e} both crosses at and bounds crossing {z}"
-                        )
+                # never z's own edge: z's rotation alternates 4 distinct ends
+                other = d.crossing_of_edge(*e)
+                if other in work:
                     emb.remove_crossing(other, e)
-                    drop_crossing_record(other)
+                    del work[other]
                 else:
                     emb.delete_edge(x, y)
                 gadj.discard(e)

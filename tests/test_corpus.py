@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -224,3 +225,38 @@ def test_drawing_json_whole_token_for_crossed_edge():
     doc["rotation"]["0"] = [[0, 1, "whole"]]
     with pytest.raises(DrawingFormatError):
         read_drawing_json(json.dumps(doc))
+
+
+# sha256 of write_drawing_json for each generator output: "random-n-fraction-
+# seed" is gen_random_oneplanar(n, fraction, seed), "plane-n-seed" is
+# gen_plane_triangulation(n, seed), "named-<name>" a named instance
+GEN_PINS = {
+    "random-300-0-5": "044dbe495a221a4006f513f6824dcd05b81171242d6ad2988e870a6aa3e7f0c6",
+    "random-300-1/4-5": "ec4d4a0925bee5a08f276ae98ab988a403a18a1534f39b9c3a54482bbe819d2c",
+    "random-300-1/2-5": "dd342d2bdb33ecf6e8fe6e7af5fbcd1bd62b0f165bf236e0c11a296ece08e8a0",
+    "random-300-1-5": "e65a1cfcbf6385536a64304a4d10b3ef4b3dc097d69fdd4423174a3503a271a2",
+    "random-60-1-2": "4effec32a855662287168f235df8d9843bacce9873466a15cdcfacced5319d7a",
+    "plane-300-6": "88e36b18cf04f7c880bd3ea6db0e3303e7b518f06329778320bb685ef6b569af",
+    "named-icosahedron": "3b97f4b2824d80d9371f9253f9b09a0167fb956cbbe65b22831ab1f55e177cad",
+    "named-k3": "bc249c73691ff28ca189944b50a3331bb026af227afc472ebacf7bc846861c7f",
+    "named-k4": "7103e5481b69813e61401fb13fc06144c00d806bf271621c014b23b1f38d6336",
+    "named-k6_1planar": "45fa10eee4631aedf893c2843fdbad5d6ed9f7759e88919d2eaf190e3d83049c",
+    "named-kite": "0919091d64cf18d2f52d500a9426ac40945d1901cc7069369ed15e1b1410ac49",
+    "named-octahedron": "b7f5c936a128e4e1b792c56e28383073a6dc9ff411e00ceee11ee5db023bba45",
+}
+
+
+def _generated(name: str):
+    kind, _, rest = name.partition("-")
+    if kind == "named":
+        return named_instance(rest)
+    args = rest.split("-")
+    if kind == "plane":
+        return gen_plane_triangulation(int(args[0]), int(args[1]))
+    return gen_random_oneplanar(int(args[0]), Fraction(args[1]), int(args[2]))
+
+
+@pytest.mark.parametrize("name", sorted(GEN_PINS))
+def test_generator_output_pinned(name):
+    text = write_drawing_json(_generated(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == GEN_PINS[name]

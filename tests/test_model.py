@@ -138,7 +138,7 @@ def test_associated_plane_graph_quad_kite():
     for half in ((0, 4), (1, 4), (2, 4), (3, 4)):
         assert half in g.edges
     fl = trace_faces(QUAD_KITE.rotation)
-    assert sorted(fl.lengths()) == [3, 3, 3, 3, 4]
+    assert sorted(len(f) for f in fl.faces) == [3, 3, 3, 3, 4]
 
 
 def test_associated_plane_graph_k6_edge_count():
@@ -167,12 +167,12 @@ def test_degree_preservation_real_vertices():
 
 def test_trace_faces_triangle():
     fl = trace_faces([[1, 2], [2, 0], [0, 1]])
-    assert sorted(fl.lengths()) == [3, 3] and fl.euler_ok
+    assert sorted(len(f) for f in fl.faces) == [3, 3] and fl.euler_ok
 
 
 def test_trace_faces_octahedron():
     fl = trace_faces(named_instance("octahedron").rotation)
-    assert fl.lengths() == [3] * 8 and fl.genus == 0
+    assert [len(f) for f in fl.faces] == [3] * 8 and fl.genus == 0
 
 
 def test_trace_faces_toroidal_k4():
@@ -180,12 +180,19 @@ def test_trace_faces_toroidal_k4():
     fl = trace_faces(rot)
     assert not fl.euler_ok
     assert fl.genus == 1
-    assert sorted(fl.lengths()) == [4, 8]
+    assert sorted(len(f) for f in fl.faces) == [4, 8]
 
 
 def test_trace_faces_rejects_asymmetric_rotation():
     with pytest.raises(MalformedDrawingError):
         trace_faces([[1], []])
+
+
+@pytest.mark.parametrize("rot", [[[5]], [[-1]], [[1], [0, 1]]], ids=["high", "negative", "self"])
+def test_trace_faces_rejects_non_neighbor_ids(rot):
+    # an id outside 0..len-1 or a vertex listing itself cannot be traced
+    with pytest.raises(MalformedDrawingError, match="not a neighbor id"):
+        trace_faces(rot)
 
 
 def _networkx_face_lengths(rotation) -> list[int]:
@@ -214,7 +221,7 @@ def test_trace_faces_agrees_with_networkx():
         assert validate_drawing(d).valid and not is_canonical(d)
     for d in drawings + thinned:
         fl = trace_faces(d.rotation)
-        assert sorted(fl.lengths()) == _networkx_face_lengths(d.rotation)
+        assert sorted(len(f) for f in fl.faces) == _networkx_face_lengths(d.rotation)
 
 
 def test_canonical_drawing_is_traced_once(monkeypatch):
@@ -274,7 +281,7 @@ def test_handshake_and_face_length_sums(corpus_drawings):
     for d in drawings[:50]:
         g, rot = associated_plane_graph(d)
         assert sum(g.degrees()) == 2 * g.num_edges
-        assert trace_faces(rot).total_length == 2 * g.num_edges
+        assert sum(len(f) for f in trace_faces(rot).faces) == 2 * g.num_edges
         assert g.num_edges == d.base.num_edges + 2 * d.num_crossings
 
 

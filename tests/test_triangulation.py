@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from fractions import Fraction
+
 import pytest
 
 from oneplanar import (
@@ -10,11 +14,33 @@ from oneplanar import (
     is_canonical,
     named_instance,
     trace_faces,
+    write_drawing_json,
 )
 from oneplanar.model import normalize_edge
 from oneplanar.triangulation import TriangulationError
 
+from conftest import without_uncrossed_edges
+from reference_triangulation import reference_triangulate
 from test_model import QUAD_KITE
+
+# Step 2 inputs: a quad edge of crossing n (on 0-2 x 1-3) is missing from its
+# corner face but drawn elsewhere, so the old copy of (0, 1) must go first.
+# Uncrossed: (0, 1) runs around vertex 4.
+STEP2_UNCROSSED = OnePlanarDrawing(
+    AbstractGraph(5, [(0, 2), (1, 3), (0, 1), (0, 4), (1, 4), (1, 2), (2, 3), (0, 3)]),
+    [((0, 2), (1, 3))],
+    [[5, 3, 1, 4], [5, 4, 0, 2], [5, 1, 3], [5, 2, 0], [0, 1], [0, 1, 2, 3]],
+)
+# Crossed: (0, 1) is itself crossed by 4-5 at crossing 7, so removing it
+# drops crossing 7 before the loop reaches it.
+STEP2_CROSSED = OnePlanarDrawing(
+    AbstractGraph(
+        6, [(0, 2), (1, 3), (0, 1), (4, 5), (1, 2), (2, 3), (0, 3), (0, 5), (1, 5), (0, 4)]
+    ),
+    [((0, 2), (1, 3)), ((0, 1), (4, 5))],
+    [[6, 3, 4, 7, 5], [6, 5, 7, 2], [6, 1, 3], [6, 2, 0], [7, 0], [7, 1, 0],
+     [0, 1, 2, 3], [0, 4, 1, 5]],
+)
 
 
 def test_kite_triangulates_fully():
@@ -112,3 +138,41 @@ def test_kite_quads_present_around_every_crossing(corpus_drawings):
             order = out.rotation[out.n + i]
             for k in range(4):
                 assert normalize_edge(order[k], order[(k + 1) % 4]) in out.base.edges
+
+
+@pytest.mark.parametrize("d", [STEP2_UNCROSSED, STEP2_CROSSED], ids=["uncrossed", "crossed"])
+def test_step2_removes_duplicate_quad_edge(d):
+    T = canonical_triangulate(d)
+    assert T.removed_duplicates == ((0, 1),)
+    assert is_canonical(T.drawing)
+    assert T == reference_triangulate(d)
+
+
+def _triangulation_input(name: str) -> OnePlanarDrawing:
+    if name.startswith("step2"):
+        return STEP2_CROSSED if name == "step2-crossed" else STEP2_UNCROSSED
+    n, frac, seed, every = name.split("-")[1:]
+    d = gen_random_oneplanar(int(n), Fraction(frac), int(seed))
+    return without_uncrossed_edges(d, int(every))
+
+
+# sha256 of the triangulated drawing's JSON followed by its provenance as
+# `triangulate --provenance` writes it; "thinned-n-fraction-seed-every" names
+# gen_random_oneplanar(n, fraction, seed) without each `every`-th uncrossed edge
+TRIANGULATE_PINS = {
+    "step2-uncrossed": "44c21f4ce4dcf7512ef6ff79ae2b934fbab2cb82fe8c0c9352369d73017031ba",
+    "step2-crossed": "1294d62f16881f0d0646cfb2d14849207d7c274b777d5e163cb5dae8d4c25df1",
+    "thinned-60-1/4-2-2": "6ba2e1dd2f1803cf393c918eaa03447bc577c1d5daed7e7a71eb3a45e3631f89",
+    "thinned-150-1/2-9-3": "5fae9d535e392be2420f24ed52993fcadb94d4caf68fd6375c72e70c24fdc2ba",
+    "thinned-300-1-4-2": "ce705d8c037365021527d576ca9cf2a2dc6668518cdb3ecb7703fa2806087711",
+    "thinned-300-0-8-5": "cbaf06ed14f450f9d7a95b44eea6259ab5b6564b9966574a03e7b54abecc117a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIANGULATE_PINS))
+def test_triangulate_output_pinned(name):
+    T = canonical_triangulate(_triangulation_input(name))
+    kinds = ("added_kite_edges", "removed_duplicates", "temporarily_removed", "added_fill_edges")
+    prov = {k: [list(e) for e in getattr(T, k)] for k in kinds}
+    text = write_drawing_json(T.drawing) + json.dumps(prov, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == TRIANGULATE_PINS[name]
