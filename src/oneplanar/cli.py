@@ -149,7 +149,7 @@ def _need_drawing(d: OnePlanarDrawing | None) -> OnePlanarDrawing:
 def _read_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise _InputError(f"{path}: not valid JSON: {exc}") from None
 
 

@@ -14,9 +14,11 @@ at a range of neighbors -- v_{d-1} and v_d for position 0, v_1..v_{d-2}
 and v_d for position 1, and v_{p-1}..v_{d-1} for position p >= 2.  A step
 that added an auxiliary edge gives its color to the first edge instead.
 Every color choice is the smallest admissible one; each extension is
-checked for new bichromatic cycles and bounded backtracking inside the
-same admissible sets handles any failure, with exhaustion surfaced as
-ExtensionFailed rather than papered over.  StepStats' set sizes and
+checked for new bichromatic cycles and backtracking inside the same
+admissible sets, at most BACKTRACK_BUDGET attempts per step, handles any
+failure, with exhaustion surfaced as ExtensionFailed rather than papered
+over.  The replay and the exact oracle share one iterative search,
+_backtrack, and one cycle test, _closes_cycle.  StepStats' set sizes and
 literal_bound are filled for configuration steps only.
 
 Cost.  A center's status depends on its neighbors' degrees only through
@@ -35,12 +37,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import AbstractGraph, Edge, OnePlanarError, normalize_edge
 from .structure import CEILINGS, LIGHT_DEGREE_MAX, ConfigurationNotFound, matches_configuration
 
-DEFAULT_BACKTRACK_BUDGET = 10_000
+BACKTRACK_BUDGET = 10_000  # attempts per plan step; read at call time
 # 83: leaves a degree-7 center's first and last edges one color (literal_bound)
 _PALETTE_SLACK = 1 + sum(c - 1 for c in CEILINGS)
 
@@ -232,21 +234,54 @@ class _State:
         del self.colors[v][c]
 
 
-def _alternating_reaches(
-    colors: Sequence[Mapping[int, int]], start: int, target: int, want: int, other: int
-) -> bool:
-    """Walk the want/other alternating path from start; True if it hits target."""
-    cur = start
-    w = want
-    for _ in range(2 * len(colors) + 2):
-        nxt = colors[cur].get(w)
-        if nxt is None:
-            return False
-        if nxt == target:
-            return True
-        cur = nxt
-        w = other if w == want else want
+def _closes_cycle(colors: Sequence[Mapping[int, int]], x: int, y: int, c: int) -> bool:
+    """Would coloring xy with c (a color at neither end) close a bichromatic cycle?
+
+    Only if some color b at both ends starts a b/c alternating path at x that
+    ends at y: c is missing at x, so that path is x's whole b/c component.
+    """
+    for b in colors[x].keys() & colors[y].keys():
+        cur, want = x, b
+        while (cur := colors[cur].get(want)) is not None:
+            if cur == y:
+                return True
+            want = c if want == b else b
     return False
+
+
+def _backtrack(
+    state: _State,
+    edges: Sequence[Edge],
+    candidates: Callable[[int], Iterable[int]],
+    budget: float = float("inf"),
+) -> tuple[bool, int]:
+    """Color edges in order, edge i with the first color from candidates(i)
+    that closes no bichromatic cycle; candidates(i) is asked again each time
+    the search enters position i, with edges[:i] colored.  A position that
+    runs out of candidates backs the search up one edge.  Iterative, so any
+    number of edges fits.  Returns (done, attempts); the search gives up
+    once attempts exceed budget.
+    """
+    attempts, pos = 0, 0
+    pending: list[Iterator[int]] = []  # the untried candidates of each entered position
+    while 0 <= pos < len(edges):
+        if pos == len(pending):
+            pending.append(iter(candidates(pos)))
+        x, y = edges[pos]
+        for c in pending[pos]:
+            attempts += 1
+            if attempts > budget:
+                return False, attempts
+            if not _closes_cycle(state.colors, x, y, c):
+                state.assign(x, y, c)
+                pos += 1
+                break
+        else:
+            pending.pop()
+            pos -= 1
+            if pos >= 0:
+                state.unassign(*edges[pos])
+    return pos == len(edges), attempts
 
 
 # --------------------------------------------------------------------------
@@ -272,14 +307,13 @@ def _extend_step(
     L: int,
     maxdeg: int,
     edge_lists: dict[Edge, tuple[int, ...]] | None,
-    budget: int,
-    stats: StepStats,
-) -> None:
+) -> StepStats:
     v = step.vertex
     nbrs = step.neighbors
     d = len(nbrs)
+    stats = StepStats(index=index, vertex=v, case=step.case, degree=d, attempts=0)
     if d == 0:
-        return
+        return stats
     # edges to v_{d-1}, v_d, v_1, ..., v_{d-2}; each position's forbidden
     # colors are the pre-step colors seen at a range of neighbors
     order = nbrs[-2:] + nbrs[:-2]
@@ -301,19 +335,11 @@ def _extend_step(
         # a degree-d center's d - 2 small neighbors lie under its own ceilings
         stats.literal_bound = L - (sum(c - 1 for c in CEILINGS[LIGHT_DEGREE_MAX - d :]) + maxdeg)
 
-    chosen: list[int] = []
-    attempts = 0
-
-    def search(pos: int) -> bool:
-        nonlocal attempts
-        if pos == d:
-            return True
-        u = order[pos]
+    def candidates(pos: int) -> Iterable[int]:
         if pos == 0:
-            cands = first
-        else:
-            forbidden = seen[pos].union(chosen)
-            cands = (c for c in allowed[pos] if c not in forbidden)
+            return first
+        # the colors at v are the ones this step has placed so far, in order
+        forbidden = seen[pos].union(state.colors[v])
         if config and pos in (1, 2):
             # size guarantee min(|T_1|, |T_d|) >= L - (sum(c_k - 1) + maxdeg) > 0
             # over the center's ceilings c_k; violations are findings, not passes
@@ -331,35 +357,13 @@ def _extend_step(
                 )
         elif config and len(stats.middle_sizes) == pos - 3:
             stats.middle_sizes.append(_admissible_size(allowed[pos], forbidden))
-            raw = seen[pos].union(chosen[:2])
+            raw = seen[pos].union(list(state.colors[v])[:2])
             stats.middle_raw_sizes.append(_admissible_size(allowed[pos], raw))
-        for c in cands:
-            attempts += 1
-            if attempts > budget:
-                raise ExtensionFailed(
-                    index, v, f"backtracking budget {budget} exhausted"
-                )
-            for q in range(pos):
-                # (v,u)=c and (v,order[q])=chosen[q] close a bichromatic cycle
-                # iff an alternating chosen[q]/c path runs from u to v
-                if _alternating_reaches(state.colors, u, v, chosen[q], c):
-                    break
-            else:
-                state.assign(v, u, c)
-                chosen.append(c)
-                if search(pos + 1):
-                    return True
-                chosen.pop()
-                state.unassign(v, u)
-        return False
+        return (c for c in allowed[pos] if c not in forbidden)
 
-    try:
-        done = search(0)
-    finally:
-        # search refers to itself through its cell; without this each step's
-        # sets would wait for the cyclic garbage collector
-        del search
-    stats.attempts = attempts
+    done, stats.attempts = _backtrack(state, [(u, v) for u in order], candidates, BACKTRACK_BUDGET)
+    if stats.attempts > BACKTRACK_BUDGET:
+        raise ExtensionFailed(index, v, f"backtracking budget {BACKTRACK_BUDGET} exhausted")
     if not done:
         n_first = len(first) if step.aux_added else _admissible_size(allowed[0], seen[0])
         raise ExtensionFailed(
@@ -368,13 +372,10 @@ def _extend_step(
             f"admissible sets exhausted (first-edge candidates: {n_first}, "
             f"degree {d})",
         )
+    return stats
 
 
-def color_run(
-    g: AbstractGraph,
-    lists: Mapping[Edge, Iterable[int]] | None = None,
-    budget: int = DEFAULT_BACKTRACK_BUDGET,
-) -> ColoringRun:
+def color_run(g: AbstractGraph, lists: Mapping[Edge, Iterable[int]] | None = None) -> ColoringRun:
     """Run the elimination plan in reverse and color every edge.
 
     With lists=None the palette is 0..L-1; otherwise every admissible set
@@ -402,18 +403,10 @@ def color_run(
 
     maxdeg = g.max_degree()
     state = _State(g.n)
-    run_stats: list[StepStats] = []
-    for index in range(len(plan.steps) - 1, -1, -1):
-        step = plan.steps[index]
-        stats = StepStats(
-            index=index,
-            vertex=step.vertex,
-            case=step.case,
-            degree=len(step.neighbors),
-            attempts=0,
-        )
-        _extend_step(state, step, index, L, maxdeg, edge_lists, budget, stats)
-        run_stats.append(stats)
+    run_stats = [
+        _extend_step(state, plan.steps[index], index, L, maxdeg, edge_lists)
+        for index in range(len(plan.steps) - 1, -1, -1)
+    ]
 
     assignment = dict(state.edge_color)
     missing = g.edges - set(assignment)
@@ -423,16 +416,12 @@ def color_run(
     return ColoringRun(EdgeColoring(assignment, L), plan, run_stats)
 
 
-def acyclic_edge_color(g: AbstractGraph, budget: int = DEFAULT_BACKTRACK_BUDGET) -> EdgeColoring:
-    return color_run(g, None, budget).coloring
+def acyclic_edge_color(g: AbstractGraph) -> EdgeColoring:
+    return color_run(g).coloring
 
 
-def acyclic_edge_color_lists(
-    g: AbstractGraph,
-    lists: Mapping[Edge, Iterable[int]],
-    budget: int = DEFAULT_BACKTRACK_BUDGET,
-) -> EdgeColoring:
-    return color_run(g, lists, budget).coloring
+def acyclic_edge_color_lists(g: AbstractGraph, lists: Mapping[Edge, Iterable[int]]) -> EdgeColoring:
+    return color_run(g, lists).coloring
 
 
 # --------------------------------------------------------------------------
@@ -534,7 +523,8 @@ def oracle_chi_a(g: AbstractGraph, limit: int) -> int | None:
 
     Backtracking over edges in a connectivity-friendly order with color
     symmetry breaking: color c may be used only once c-1 has appeared.
-    Intended for small graphs (around 10 vertices, 20 edges).
+    Exponential in the worst case, so meant for small graphs; the search is
+    iterative, so a graph that colors with little backtracking may be large.
     """
     m = g.num_edges
     if m == 0:
@@ -565,32 +555,13 @@ def _search_order(g: AbstractGraph) -> list[Edge]:
 
 
 def _colorable_with(g: AbstractGraph, edges: list[Edge], k: int) -> bool:
-    colors: list[dict[int, int]] = [dict() for _ in range(g.n)]
+    state = _State(g.n)
+    used = [0] * len(edges)  # edges[:i] use exactly the colors below used[i]
 
-    def ok_acyclic(u: int, v: int, c: int) -> bool:
-        for cp in set(colors[u]) | set(colors[v]):
-            if cp == c:
-                continue
-            if _alternating_reaches(colors, u, v, cp, c):
-                return False
-        return True
+    def candidates(i: int) -> Iterable[int]:
+        if i:
+            used[i] = max(used[i - 1], state.edge_color[edges[i - 1]] + 1)
+        at_u, at_v = (state.colors[x] for x in edges[i])
+        return (c for c in range(min(k, used[i] + 1)) if c not in at_u and c not in at_v)
 
-    def rec(idx: int, used: int) -> bool:
-        if idx == len(edges):
-            return True
-        u, v = edges[idx]
-        top = min(k, used + 1)
-        for c in range(top):
-            if c in colors[u] or c in colors[v]:
-                continue
-            if not ok_acyclic(u, v, c):
-                continue
-            colors[u][c] = v
-            colors[v][c] = u
-            if rec(idx + 1, max(used, c + 1)):
-                return True
-            del colors[u][c]
-            del colors[v][c]
-        return False
-
-    return rec(0, 0)
+    return _backtrack(state, edges, candidates)[0]

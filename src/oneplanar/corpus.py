@@ -475,7 +475,7 @@ def drawing_from_doc(doc) -> OnePlanarDrawing:
 def read_drawing_json(text: str) -> OnePlanarDrawing:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise DrawingFormatError(f"not valid JSON: {exc}") from None
     return drawing_from_doc(doc)
 

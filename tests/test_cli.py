@@ -465,3 +465,46 @@ def test_repeated_list_record_is_unusable_input(tmp_path):
     r = run_cli("color", str(k4), "--lists", str(lists))
     _assert_input_error(r)
     assert f"edges[{len(records)}]" in json.loads(r.stderr)["message"]
+
+
+@pytest.fixture()
+def deep_json(tmp_path):
+    # json.loads gives up on this nesting with RecursionError, not JSONDecodeError
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    return p
+
+
+@pytest.mark.parametrize("command", ["validate", "run-suite", "verify", "color-lists"])
+def test_deeply_nested_json_is_unusable_input(octa_file, deep_json, command):
+    args = {
+        "validate": ["validate", deep_json],
+        "run-suite": ["run-suite", deep_json],
+        "verify": ["verify", octa_file, deep_json],
+        "color-lists": ["color", octa_file, "--lists", deep_json],
+    }[command]
+    r = run_cli(*map(str, args))
+    _assert_input_error(r)
+    assert "not valid JSON" in json.loads(r.stderr)["message"]
+
+
+def test_run_suite_records_a_deeply_nested_file_entry(tmp_path, deep_json):
+    deep = {"name": "deep", "input": {"kind": "file", "path": str(deep_json)},
+            "checks": ["validate"]}
+    mpath = tmp_path / "m.json"
+    mpath.write_text(json.dumps({"entries": [deep, GOOD_ENTRY]}), encoding="utf-8")
+    r = run_cli("run-suite", str(mpath))
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    deep_entry, good_entry = json.loads(r.stdout)["entries"]
+    assert [(c["check"], c["status"]) for c in deep_entry["results"]] == [("input", "error")]
+    assert "not valid JSON" in deep_entry["results"][0]["detail"]["message"]
+    assert good_entry["results"][0]["status"] == "pass"
+
+
+def test_oracle_on_a_graph_with_more_edges_than_the_recursion_limit(tmp_path):
+    out = tmp_path / "pt.json"
+    r = run_cli("gen", "--kind", "plane_triangulation", "--n", "400", "--seed", "3", "-o", str(out))
+    assert r.returncode == 0 and json.loads(r.stdout)["e"] == 1194
+    r = run_cli("oracle", str(out))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == {"chi_a": 58, "exceeded": False, "limit": 141}

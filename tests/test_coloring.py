@@ -21,12 +21,12 @@ from oneplanar import (
     palette_size,
     verify_acyclic,
 )
+from oneplanar import coloring
 from oneplanar.coloring import (
     EdgeColoring,
     ExtensionFailed,
     ListTooSmall,
     PlanStep,
-    StepStats,
     _PALETTE_SLACK,
     _extend_step,
     _State,
@@ -408,10 +408,11 @@ def test_color_run_outputs_pinned(spec, with_lists):
     assert _pin_digests(*spec, with_lists) == PINNED_RUNS[(spec[0], with_lists)]
 
 
-def test_zero_budget_extension_failure_pinned():
+def test_zero_budget_extension_failure_pinned(monkeypatch):
     g = gen_random_oneplanar(*PIN_SPECS[0]).base
+    monkeypatch.setattr(coloring, "BACKTRACK_BUDGET", 0)
     with pytest.raises(ExtensionFailed) as info:
-        color_run(g, budget=0)
+        color_run(g)
     err = info.value
     assert (err.step_index, err.vertex, str(err)) == (
         8,
@@ -452,9 +453,8 @@ def test_exhausted_admissible_sets_message(colored, aux_added, edge_lists, n_fir
     for u, v, c in colored:
         state.assign(u, v, c)
     step = PlanStep(0, "deg2", None, (1, 2), (1, 2), aux_added)
-    stats = StepStats(index=5, vertex=0, case="deg2", degree=2, attempts=0)
     with pytest.raises(ExtensionFailed) as info:
-        _extend_step(state, step, 5, 3, 3, edge_lists, 100, stats)
+        _extend_step(state, step, 5, 3, 3, edge_lists)
     assert str(info.value) == (
         "extension failed at step 5 (vertex 0): admissible sets exhausted "
         f"(first-edge candidates: {n_first}, degree 2)"
@@ -473,10 +473,27 @@ def test_literal_bound_uses_the_centers_own_ceilings():
         for c in colors:
             state.assign(u, next(leaves), c)
     step = PlanStep(0, "config", "C2", (1, 2, 3), (2, 3), False)
-    stats = StepStats(index=0, vertex=0, case="config", degree=3, attempts=0)
-    _extend_step(state, step, 0, palette_size(60), 60, None, 100, stats)
+    stats = _extend_step(state, step, 0, palette_size(60), 60, None)
     assert (stats.t1_size, stats.td_size, stats.literal_bound) == (72, 50, 49)
     assert [state.colors[0][c] for c in (0, 93, 70)] == [2, 3, 1]
+
+
+def test_replay_backs_up_and_recolors_an_earlier_edge():
+    # a degree-4 center 0 returns with neighbors (1, 2, 3, 4) and uncolored
+    # surroundings, so its edges go to 3, 4, 1, 2 and each draws from its own
+    # list minus the colors this step has placed: 3 takes 0 and 4 takes 1;
+    # 1 then has only 3 left, which empties the list (1, 3) of the middle
+    # position 2.  The search backs up past 1 to re-color 4 with 2, after
+    # which 1 takes 1 and 2 takes 3.  The middle sizes are those of the
+    # first entry (empty); t1_size is that of the last entry.
+    lists = {(0, 3): (0,), (0, 4): (1, 2), (0, 1): (1, 3), (0, 2): (1, 3)}
+    state = _State(5)
+    step = PlanStep(0, "config", "C3", (1, 2, 3, 4), (3, 4), False)
+    stats = _extend_step(state, step, 0, 4, 4, lists)
+    assert state.colors[0] == {0: 3, 2: 4, 1: 1, 3: 2}
+    assert stats.attempts == 6
+    assert (stats.td_size, stats.t1_size) == (2, 2)
+    assert (stats.middle_sizes, stats.middle_raw_sizes) == ([0], [1])
 
 
 def test_oracle_within_palette_on_small_corpus_graphs(corpus_drawings):

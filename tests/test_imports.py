@@ -136,3 +136,41 @@ def test_every_public_function_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def self_calls(source: str) -> list[str]:
+    """Functions, nested ones and methods included, whose body calls the
+    function itself by name (``f(...)``, or ``self.f(...)`` in a method)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                f = call.func
+                if (isinstance(f, ast.Name) and f.id == node.name) or (
+                    isinstance(f, ast.Attribute)
+                    and f.attr == node.name
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "self"
+                ):
+                    found.append(f"{node.name} (line {node.lineno})")
+                    break
+    return found
+
+
+def test_self_call_detector_sees_recursion():
+    src = (
+        "def f(n):\n    return f(n - 1) if n else 0\n"
+        "def outer():\n    def rec(i):\n        return i and rec(i - 1)\n    return rec(3)\n"
+        "class K:\n    def m(self):\n        return self.m()\n"
+        "    def p(self, other):\n        return other.p() + g(self.q)\n"
+        "def g(x):\n    return f(x)\n"
+    )
+    assert self_calls(src) == ["f (line 1)", "rec (line 4)", "m (line 8)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    # recursion depth would grow with the input; every search is iterative
+    assert self_calls(path.read_text(encoding="utf-8")) == []
