@@ -24,18 +24,24 @@ triangulation steps 1-5 run), then times these layers, each the minimum of
 
 A drawing keeps its validation report and face list once computed, so every
 repetition re-reads its drawing from JSON text and times a fresh object.
-The record holds the times, the growth ratio per 4x of n, and a SHA-256
-digest of every layer's output, which must not change between repetitions.
-This script is not a gate: it only writes the record.
+One more pass, untimed, runs every layer under cProfile and records its
+``calls``: the number of Python and builtin function calls, a cost that does
+not move between runs as times do (work inside one builtin counts once,
+whatever its size).  The record holds the times, the calls, the growth ratio
+of both per 4x of n, and a SHA-256 digest of every layer's output, which
+must not change between repetitions.  This script is not a gate: it only
+writes the record.
 """
 
 from __future__ import annotations
 
 import argparse
+import cProfile
 import gc
 import hashlib
 import json
 import platform
+import pstats
 import sys
 import time
 from fractions import Fraction
@@ -72,51 +78,60 @@ def _digest(*parts) -> str:
 
 
 def _timed(fn, *args):
+    """fn(*args) with its (cpu, wall) seconds."""
     gc.collect()  # garbage left by earlier layers is not charged to this one
     c0, w0 = time.process_time(), time.perf_counter()
     out = fn(*args)
-    return out, time.process_time() - c0, time.perf_counter() - w0
+    return out, (time.process_time() - c0, time.perf_counter() - w0)
+
+
+def _counted(fn, *args):
+    """fn(*args) with the number of function calls it made."""
+    profile = cProfile.Profile()
+    out = profile.runcall(fn, *args)
+    return out, pstats.Stats(profile).total_calls
 
 
 def _census(T) -> list:
     return [classify_neighbors(T, v) for v in range(T.drawing.n)]
 
 
-def _one_repetition(n: int, fraction: Fraction, thin_text: str) -> dict[str, tuple]:
-    """Every layer once, on fresh drawings; name -> (digest, cpu, wall)."""
+def _one_repetition(n: int, fraction: Fraction, thin_text: str, run=_timed) -> dict[str, tuple]:
+    """Every layer once, on fresh drawings, each called through run (_timed
+    or _counted); name -> (digest, what run measured)."""
     out = {}
-    d, cpu, wall = _timed(gen_random_oneplanar, n, fraction, SEED)
-    text, cpu_w, wall_w = _timed(write_drawing_json, d)
-    out["gen"] = (_digest(text), cpu, wall)
-    out["write_json"] = (_digest(text), cpu_w, wall_w)
+    d, cost = run(gen_random_oneplanar, n, fraction, SEED)
+    text, cost_w = run(write_drawing_json, d)
+    out["gen"] = (_digest(text), cost)
+    out["write_json"] = (_digest(text), cost_w)
     del d
-    d, cpu, wall = _timed(read_drawing_json, text)
-    out["read_json"] = (_digest(write_drawing_json(d)), cpu, wall)
+    d, cost = run(read_drawing_json, text)
+    out["read_json"] = (_digest(write_drawing_json(d)), cost)
 
-    T, cpu, wall = _timed(canonical_triangulate, read_drawing_json(thin_text))
+    T, cost = run(canonical_triangulate, read_drawing_json(thin_text))
     provenance = (T.added_kite_edges, T.removed_duplicates, T.temporarily_removed,
                   T.added_fill_edges)
-    out["triangulate_thinned"] = (_digest(write_drawing_json(T.drawing), provenance), cpu, wall)
+    out["triangulate_thinned"] = (_digest(write_drawing_json(T.drawing), provenance), cost)
     del T
 
-    rep, cpu, wall = _timed(validate_drawing, d)
-    out["validate"] = (_digest(rep.valid, sorted(rep.stats.items())), cpu, wall)
+    rep, cost = run(validate_drawing, d)
+    out["validate"] = (_digest(rep.valid, sorted(rep.stats.items())), cost)
     T = canonical_triangulate(d)
-    census, cpu, wall = _timed(_census, T)
-    out["census"] = (_digest(census), cpu, wall)
+    census, cost = run(_census, T)
+    out["census"] = (_digest(census), cost)
     del census
-    led0, cpu, wall = _timed(initial_charges, T)
-    out["initial_charges"] = (_digest(sorted(led0.charges.items(), key=repr)), cpu, wall)
-    led1, cpu, wall = _timed(apply_rules, T, led0)
-    out["apply_rules"] = (
-        _digest(sorted(led1.charges.items(), key=repr), led1.transcript), cpu, wall
-    )
+    led0, cost = run(initial_charges, T)
+    out["initial_charges"] = (_digest(sorted(led0.charges.items(), key=repr)), cost)
+    led1, cost = run(apply_rules, T, led0)
+    out["apply_rules"] = (_digest(sorted(led1.charges.items(), key=repr), led1.transcript), cost)
 
     g = d.base
-    run, cpu, wall = _timed(color_run, g)
-    out["color_run"] = (_digest(sorted(run.coloring.assignment.items()), run.plan.steps), cpu, wall)
-    vrep, cpu, wall = _timed(verify_acyclic, g, run.coloring)
-    out["verify"] = (_digest(vrep), cpu, wall)
+    result, cost = run(color_run, g)
+    out["color_run"] = (
+        _digest(sorted(result.coloring.assignment.items()), result.plan.steps), cost
+    )
+    vrep, cost = run(verify_acyclic, g, result.coloring)
+    out["verify"] = (_digest(vrep), cost)
     return out
 
 
@@ -125,14 +140,16 @@ def measure(n: int, fraction: Fraction, repeats: int) -> dict:
     thin = thin_drawing(d, Fraction(1, 2), Fraction(1, 2), SEED)
     thin_text = write_drawing_json(thin)
     runs = [_one_repetition(n, fraction, thin_text) for _ in range(repeats)]
+    counted = _one_repetition(n, fraction, thin_text, _counted)
     layers = {}
     for name in LAYERS:
-        digests = {r[name][0] for r in runs}
+        digests = {r[name][0] for r in runs} | {counted[name][0]}
         if len(digests) != 1:
             raise SystemExit(f"{name} at n={n}, f={fraction}: outputs differ between repetitions")
         layers[name] = {
-            "cpu_s": round(min(r[name][1] for r in runs), 4),
-            "wall_s": round(min(r[name][2] for r in runs), 4),
+            "cpu_s": round(min(r[name][1][0] for r in runs), 4),
+            "wall_s": round(min(r[name][1][1] for r in runs), 4),
+            "calls": counted[name][1],
             "digest": digests.pop(),
         }
     return {
@@ -161,19 +178,29 @@ def main(argv: list[str] | None = None) -> int:
             cells = ", ".join(f"{k} {v['cpu_s']:.3f}" for k, v in sizes[-1]["layers"].items())
             print(f"f={fraction} n={n}: {cells} (CPU s)", flush=True)
         growth = {
-            name: {
-                f"{a['n']}->{b['n']}": round(
-                    b["layers"][name]["cpu_s"] / a["layers"][name]["cpu_s"], 2
-                )
-                for a, b in zip(sizes, sizes[1:])
+            key: {
+                name: {
+                    f"{a['n']}->{b['n']}": round(
+                        b["layers"][name][key] / a["layers"][name][key], 2
+                    )
+                    for a, b in zip(sizes, sizes[1:])
+                }
+                for name in LAYERS
             }
-            for name in LAYERS
+            for key in ("cpu_s", "calls")
         }
-        fractions.append({"fraction": str(fraction), "sizes": sizes, "cpu_growth_per_4x": growth})
-        for name, ratios in growth.items():
-            print(f"f={fraction} {name}: CPU growth {ratios}")
+        fractions.append({
+            "fraction": str(fraction),
+            "sizes": sizes,
+            "cpu_growth_per_4x": growth["cpu_s"],
+            "calls_growth_per_4x": growth["calls"],
+        })
+        for name in LAYERS:
+            print(f"f={fraction} {name}: CPU growth {growth['cpu_s'][name]}, "
+                  f"calls growth {growth['calls'][name]}")
     record = {
-        "what": "per-layer time, min of repeats, fresh drawing per repetition",
+        "what": "per-layer time, min of repeats, fresh drawing per repetition; "
+                "calls from one more, profiled pass",
         "seed": SEED,
         "repeats": args.repeats,
         "python": platform.python_version(),

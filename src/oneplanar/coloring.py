@@ -538,19 +538,31 @@ def oracle_chi_a(g: AbstractGraph, limit: int) -> int | None:
 
 
 def _search_order(g: AbstractGraph) -> list[Edge]:
-    """Edges ordered so each touches an earlier one when possible."""
-    remaining = set(g.edges)
+    """Edges ordered so each touches an earlier one when possible: next is
+    the smallest remaining edge at a visited vertex, else the smallest
+    remaining edge.  The edges at visited vertices wait in a heap, where an
+    edge already placed is dropped when it reaches the top."""
+    edges = sorted(g.edges)
     order: list[Edge] = []
-    seen_v: set[int] = set()
-    while remaining:
-        for e in sorted(remaining):
-            if e[0] in seen_v or e[1] in seen_v:
-                break
-        else:
-            e = min(remaining)
+    placed: set[Edge] = set()
+    visited: set[int] = set()
+    near: list[Edge] = []
+    i = 0
+    while len(order) < len(edges):
+        while near and near[0] in placed:
+            heapq.heappop(near)
+        if not near:
+            while edges[i] in placed:
+                i += 1
+            near.append(edges[i])
+        e = heapq.heappop(near)
         order.append(e)
-        remaining.remove(e)
-        seen_v.update(e)
+        placed.add(e)
+        for w in e:
+            if w not in visited:
+                visited.add(w)
+                for x in g.neighbors(w):
+                    heapq.heappush(near, normalize_edge(w, x))
     return order
 
 

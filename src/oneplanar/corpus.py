@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .embedding import MutableEmbedding
+from .embedding import cross_edge
 from .model import (
     AbstractGraph,
     Crossing,
@@ -67,24 +67,22 @@ class GenerationError(OnePlanarError):
 _K3_ROT = [[1, 2], [2, 0], [0, 1]]
 
 
-def _grow_triangulation(n: int, rng: XorShift64Star) -> MutableEmbedding:
-    emb = MutableEmbedding(_K3_ROT, trace_faces(_K3_ROT).faces)
-    live = sorted(emb.faces)  # two faces of the seed triangle
+def _grow_triangulation(n: int, rng: XorShift64Star) -> dict[int, list[int]]:
+    """Rotations of a triangle grown by inserting each vertex v into a face
+    (a, b, c), in walk order, drawn by the PRNG; the face leaves (a, b, v)
+    in its place and (b, c, v), (c, a, v) at the end of the live list."""
+    rot = {w: list(order) for w, order in enumerate(_K3_ROT)}
+    live = [tuple(face) for face in trace_faces(_K3_ROT).faces]
     for v in range(3, n):
         k = rng.below(len(live))
-        f1, f2, f3 = emb.insert_vertex_in_face(live[k], v)
-        live[k] = f1
-        live.append(f2)
-        live.append(f3)
-    return emb
-
-
-def _drawing_from_embedding(
-    n: int, emb: MutableEmbedding, graph_edges: Iterable[Edge], crossings: list[Crossing]
-) -> OnePlanarDrawing:
-    base = AbstractGraph(n, graph_edges)
-    rotation = emb.rotations(range(n + len(crossings)))
-    return OnePlanarDrawing(base, crossings, rotation)
+        a, b, c = live[k]
+        rot[v] = [a, c, b]
+        for w, after in ((a, c), (b, a), (c, b)):
+            rw = rot[w]
+            rw.insert(rw.index(after) + 1, v)
+        live[k] = (a, b, v)
+        live.extend(((b, c, v), (c, a, v)))
+    return rot
 
 
 def _plane_drawing(rotation: Sequence[Sequence[int]]) -> OnePlanarDrawing:
@@ -102,7 +100,7 @@ def gen_plane_triangulation(n: int, seed: int) -> OnePlanarDrawing:
     """
     if n < 3:
         raise GenerationError(f"plane triangulation needs n >= 3, got {n}")
-    return _plane_drawing(_grow_triangulation(n, XorShift64Star(seed)).rotations(range(n)))
+    return _plane_drawing(list(_grow_triangulation(n, XorShift64Star(seed)).values()))
 
 
 def gen_random_oneplanar(
@@ -122,10 +120,9 @@ def gen_random_oneplanar(
     if not 0 <= frac <= 1:
         raise GenerationError(f"crossing fraction {frac} outside [0, 1]")
     rng = XorShift64Star(seed)
-    emb = _grow_triangulation(n, rng)
-    gadj: set[Edge] = {(u, v) for u in emb.rot for v in emb.rot[u] if u < v}
+    rot = _grow_triangulation(n, rng)
+    gadj: set[Edge] = {(u, v) for u in rot for v in rot[u] if u < v}
     candidates = sorted(gadj)
-    crossed: set[Edge] = set()
     crossings: list[Crossing] = []
     target = int(frac * (n - 2))
     attempts = 0
@@ -133,26 +130,21 @@ def gen_random_oneplanar(
     while len(crossings) < target and attempts < max_attempts:
         attempts += 1
         b, d = candidates[rng.below(len(candidates))]
-        if (b, d) in crossed:
-            continue
-        f1 = emb.edge_face[(b, d)]
-        f2 = emb.edge_face[(d, b)]
-        if len(emb.faces[f1]) != 3 or len(emb.faces[f2]) != 3:
-            continue
-        a = emb.triangle_third(f1, b, d)
-        c = emb.triangle_third(f2, d, b)
+        rb, rd = rot[b], rot[d]
+        if d not in rb:
+            continue  # b-d is crossed already
+        # every face is a triangle: the corners across b-d follow in rotations
+        a = rd[(rd.index(b) + 1) % len(rd)]
+        c = rb[(rb.index(d) + 1) % len(rb)]
         if a >= n or c >= n or a == c:
             continue  # flanking face belongs to an earlier crossing
         chord = normalize_edge(a, c)
         if chord in gadj:
             continue
-        z = n + len(crossings)
-        emb.insert_crossing(b, d, z)
+        cross_edge(rot, b, d, n + len(crossings))
         gadj.add(chord)
-        crossed.add(chord)
-        crossed.add((b, d))
         crossings.append(Crossing(chord, (b, d)))
-    return _drawing_from_embedding(n, emb, gadj, crossings)
+    return OnePlanarDrawing(AbstractGraph(n, gadj), crossings, list(rot.values()))
 
 
 # --------------------------------------------------------------------------
@@ -197,14 +189,13 @@ def _build_kite() -> OnePlanarDrawing:
 
 def _build_k6_1planar() -> OnePlanarDrawing:
     """K6 drawn as the octahedron plus its three diagonals, one crossing each."""
-    emb = MutableEmbedding(_OCTAHEDRON_ROT, trace_faces(_OCTAHEDRON_ROT).faces)
+    rot = {w: list(order) for w, order in enumerate(_OCTAHEDRON_ROT)}
     crossings: list[Crossing] = []
     for b, d in [(1, 3), (2, 4), (0, 5)]:
-        z = 6 + len(crossings)
-        a, c = emb.insert_crossing(b, d, z)
+        a, c = cross_edge(rot, b, d, 6 + len(crossings))
         crossings.append(Crossing(normalize_edge(a, c), (b, d)))
     edges = [(u, v) for u in range(6) for v in range(u + 1, 6)]
-    return _drawing_from_embedding(6, emb, edges, crossings)
+    return OnePlanarDrawing(AbstractGraph(6, edges), crossings, list(rot.values()))
 
 
 _NAMED = {

@@ -1,9 +1,10 @@
 """Mutable rotation-system embedding with incremental face bookkeeping.
 
-Used by the triangulation pipeline and the generators.  Faces are kept as
-explicit vertex cycles indexed by directed edge, and every surgery (chord
-insertion, edge deletion, vertex insertion, crossing insertion/removal)
-updates rotations and faces locally, so a full retrace is never needed.
+Used by the triangulation pipeline.  Faces are kept as explicit vertex
+cycles indexed by directed edge, and every surgery (chord insertion, edge
+deletion, crossing insertion/removal) updates rotations and faces locally,
+so a full retrace is never needed.  The crossing insertion itself is the
+rotation-level ``cross_edge``, which the generators call on bare rotations.
 
 Face-walk convention throughout: having arrived at w along (u -> w), the
 walk leaves along (w -> x) where x is the successor of u in rotation[w].
@@ -13,13 +14,33 @@ the directed edges (w0,w1), (w1,w2), ..., (w_{L-1},w0).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, MutableMapping, Sequence
 
 from .model import OnePlanarError
 
 
 class EmbeddingError(OnePlanarError):
     """A surgery was applied in a state where it is not defined."""
+
+
+def cross_edge(rot: MutableMapping[int, list[int]], b: int, d: int, z: int) -> tuple[int, int]:
+    """Draw a new edge a-c across edge b-d at new vertex z; returns (a, c).
+
+    a and c are the third corners of the faces on b->d and d->b, read off
+    the rotations, so both faces must be triangles of distinct vertices with
+    a != c; the caller checks that.  z takes b-d's place in the rotations
+    of b and d and follows d in a's and b in c's.
+    """
+    rb, rd = rot[b], rot[d]
+    i, j = rd.index(b), rb.index(d)
+    a, c = rd[(i + 1) % len(rd)], rb[(j + 1) % len(rb)]
+    ra = rot[a]
+    ra.insert(ra.index(d) + 1, z)
+    rc = rot[c]
+    rc.insert(rc.index(b) + 1, z)
+    rd[i] = rb[j] = z
+    rot[z] = [a, d, c, b]
+    return a, c
 
 
 class MutableEmbedding:
@@ -57,16 +78,6 @@ class MutableEmbedding:
     def rotations(self, order: Iterable[int]) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(self.rot[w]) for w in order)
 
-    def triangle_third(self, fid: int, u: int, v: int) -> int:
-        """Third vertex of a triangular face containing directed edge (u, v)."""
-        face = self.faces[fid]
-        if len(face) != 3:
-            raise EmbeddingError(f"face {fid} has length {len(face)}, not 3")
-        for w in face:
-            if w != u and w != v:
-                return w
-        raise EmbeddingError(f"face {fid} is degenerate: {face}")
-
     # -- surgeries ---------------------------------------------------------
 
     def add_chord(self, fid: int, i: int, j: int) -> tuple[int, int]:
@@ -101,28 +112,6 @@ class MutableEmbedding:
         fid1 = self._register_face(f1)
         fid2 = self._register_face(f2)
         return fid1, fid2
-
-    def insert_vertex_in_face(self, fid: int, v: int) -> tuple[int, int, int]:
-        """Insert a new vertex inside a triangular face, joined to its corners."""
-        face = self.faces[fid]
-        if len(face) != 3:
-            raise EmbeddingError("vertex insertion needs a triangular face")
-        if v in self.rot:
-            raise EmbeddingError(f"vertex {v} already present")
-        a, b, c = face
-        self.rot[v] = [a, c, b]
-        ra = self.rot[a]
-        ra.insert(ra.index(c) + 1, v)
-        rb = self.rot[b]
-        rb.insert(rb.index(a) + 1, v)
-        rc = self.rot[c]
-        rc.insert(rc.index(b) + 1, v)
-        del self.faces[fid]
-        return (
-            self._register_face([a, b, v]),
-            self._register_face([b, c, v]),
-            self._register_face([c, a, v]),
-        )
 
     def _check_deletable(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
@@ -177,6 +166,7 @@ class MutableEmbedding:
 
         Both faces of b-d must be triangles; their third vertices a, c become
         the endpoints of the new edge and must be distinct and non-adjacent.
+        Every precondition is checked before ``cross_edge`` edits anything.
         Returns (a, c).
         """
         if z in self.rot:
@@ -185,19 +175,15 @@ class MutableEmbedding:
             raise EmbeddingError(f"no edge {b}-{d}")
         f1 = self.edge_face[(b, d)]
         f2 = self.edge_face[(d, b)]
-        a = self.triangle_third(f1, b, d)
-        c = self.triangle_third(f2, d, b)
+        for fid in (f1, f2):  # a closed 3-walk without loops has 3 distinct vertices
+            if len(self.faces[fid]) != 3:
+                raise EmbeddingError(f"face {fid} has length {len(self.faces[fid])}, not 3")
+        a, c = (next(w for w in self.faces[f] if w != b and w != d) for f in (f1, f2))
         if a == c:
             raise EmbeddingError(f"faces of {b}-{d} share third vertex {a}")
         if self.has_edge(a, c):
             raise EmbeddingError(f"new edge {a}-{c} already present")
-        ra = self.rot[a]
-        ra.insert(ra.index(d) + 1, z)
-        rc = self.rot[c]
-        rc.insert(rc.index(b) + 1, z)
-        self.rot[b][self.rot[b].index(d)] = z
-        self.rot[d][self.rot[d].index(b)] = z
-        self.rot[z] = [a, d, c, b]
+        cross_edge(self.rot, b, d, z)
         del self.faces[f1], self.faces[f2], self.edge_face[(b, d)], self.edge_face[(d, b)]
         for tri in ([a, b, z], [b, c, z], [c, d, z], [d, a, z]):
             self._register_face(tri)

@@ -478,6 +478,28 @@ def test_literal_bound_uses_the_centers_own_ceilings():
     assert [state.colors[0][c] for c in (0, 93, 70)] == [2, 3, 1]
 
 
+def test_admissible_set_size_bound_violation_is_reported():
+    # the center of the test above, with two more colors at its last
+    # neighbor 3: v_1 and v_d then carry 95 distinct colors, more than the
+    # L - literal_bound = 143 - 49 = 94 the ceilings allow, and with the
+    # first edge's color 0 the last-edge set keeps only 48 of 143
+    state = _State(135)
+    leaves = iter(range(4, 135))
+    for u, colors in ((1, range(0, 34)), (2, range(34, 70)), (3, range(34, 95))):
+        for c in colors:
+            state.assign(u, next(leaves), c)
+    step = PlanStep(0, "config", "C2", (1, 2, 3), (2, 3), False)
+    with pytest.raises(ExtensionFailed) as info:
+        _extend_step(state, step, 9, palette_size(60), 60, None)
+    err = info.value
+    assert (err.step_index, err.vertex, str(err)) == (
+        9,
+        0,
+        "extension failed at step 9 (vertex 0): admissible-set size bound violated: "
+        "last-edge set has 48 colors, guarantee is 49",
+    )
+
+
 def test_replay_backs_up_and_recolors_an_earlier_edge():
     # a degree-4 center 0 returns with neighbors (1, 2, 3, 4) and uncolored
     # surroundings, so its edges go to 3, 4, 1, 2 and each draws from its own

@@ -45,6 +45,27 @@ def test_refused_crossing_removal_leaves_embedding_untouched():
     _assert_consistent(emb)
 
 
+_K3 = [[1, 2], [2, 0], [0, 1]]
+_K4 = [[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]]
+_SQUARE_WITH_DIAGONAL = [[1, 2, 3], [2, 0], [3, 0, 1], [0, 2]]  # outer face 0-1-2-3
+
+
+@pytest.mark.parametrize("rot, b, d, z, message", [
+    (_K4, 0, 1, 3, "already present"),                    # z is a vertex
+    (_SQUARE_WITH_DIAGONAL, 1, 3, 4, "no edge 1-3"),
+    (_SQUARE_WITH_DIAGONAL, 0, 1, 4, "length 4, not 3"),  # one side is the square
+    (_K3, 0, 1, 3, "share third vertex 2"),
+    (_K4, 0, 1, 4, "new edge .* already present"),         # K4's apexes are adjacent
+])
+def test_refused_crossing_insertion_leaves_embedding_untouched(rot, b, d, z, message):
+    emb = MutableEmbedding(rot, trace_faces(rot).faces)
+    before = _state(emb)
+    with pytest.raises(EmbeddingError, match=message):
+        emb.insert_crossing(b, d, z)
+    assert _state(emb) == before
+    _assert_consistent(emb)
+
+
 def test_bridge_deletion_splits_face():
     # triangle 0-1-2 with pendant path 2-3-4; deleting 2-3 leaves two pieces
     rot = [[1, 2], [2, 0], [0, 3, 1], [2, 4], [3]]

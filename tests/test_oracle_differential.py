@@ -11,14 +11,24 @@ from __future__ import annotations
 
 import sys
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oneplanar import AbstractGraph, oracle_chi_a, palette_size, write_graph6
+from oneplanar import (
+    AbstractGraph,
+    XorShift64Star,
+    gen_plane_triangulation,
+    oracle_chi_a,
+    palette_size,
+    write_graph6,
+)
 from oneplanar.cli import run_suite
+from oneplanar.coloring import _search_order
+from oneplanar.model import _component_count, normalize_edge
 
 from conftest import complete_graph, cycle_graph, path_graph
-from reference_oracle import reference_oracle
+from reference_oracle import _search_order as reference_search_order, reference_oracle
 
 
 @st.composite
@@ -61,3 +71,30 @@ def test_suite_oracle_on_a_long_path_then_the_next_entry():
         [{"check": "oracle", "status": "pass", "detail": {"chi_a": 2, "limit": palette_size(2)}}],
         [{"check": "oracle", "status": "pass", "detail": {"chi_a": 5, "limit": palette_size(3)}}],
     ]
+
+
+def _sparse_graph(n: int, m: int, seed: int) -> AbstractGraph:
+    """Up to m seeded random edges on n vertices; sparse ones fall apart."""
+    rng = XorShift64Star(seed)
+    pairs = ((rng.below(n), rng.below(n)) for _ in range(m))
+    return AbstractGraph(n, {normalize_edge(u, v) for u, v in pairs if u != v})
+
+
+def _edge_components(g: AbstractGraph) -> int:
+    """Connected components with at least one edge."""
+    adjacency = [list(g.neighbors(v)) for v in range(g.n)]
+    return _component_count(adjacency) - sum(not nbrs for nbrs in adjacency)
+
+
+TRIANGULATION = gen_plane_triangulation(400, 3).base  # 1,194 edges
+SEARCH_ORDER_GRAPHS = [_sparse_graph(2 + 5 * s, (2 + 5 * s) * (1 + s % 3) // 2, s) for s in range(30)]
+
+
+@pytest.mark.parametrize("g", SEARCH_ORDER_GRAPHS + [TRIANGULATION, LONG_PATH])
+def test_search_order_matches_reference(g):
+    assert _search_order(g) == reference_search_order(g)
+
+
+def test_search_order_graphs_include_disconnected_ones():
+    assert TRIANGULATION.num_edges == 1194
+    assert sum(_edge_components(g) > 1 for g in SEARCH_ORDER_GRAPHS) >= 10

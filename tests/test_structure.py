@@ -28,10 +28,9 @@ def _single_crossing_fixture() -> CanonicalTriangulation:
     from oneplanar.embedding import MutableEmbedding
     from oneplanar.model import AbstractGraph, normalize_edge, trace_faces
 
-    rot = [[1, 2, 3], [2, 0, 3], [0, 1, 3], [0, 2, 1]]  # planar K4
+    # planar K4 with vertex 4 inside its face 0-1-3
+    rot = [[1, 2, 3, 4], [2, 0, 4, 3], [0, 1, 3], [0, 2, 1, 4], [0, 3, 1]]
     emb = MutableEmbedding(rot, trace_faces(rot).faces)
-    fid = next(f for f, face in emb.faces.items() if sorted(face) == [0, 1, 3])
-    emb.insert_vertex_in_face(fid, 4)
     a, c = emb.insert_crossing(1, 3, 5)
     assert {a, c} == {2, 4}
     edges = {normalize_edge(u, v) for u in range(5) for v in emb.rot[u] if v < 5 and u < v}
