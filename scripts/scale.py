@@ -27,7 +27,10 @@ repetition re-reads its drawing from JSON text and times a fresh object.
 One more pass, untimed, runs every layer under cProfile and records its
 ``calls``: the number of Python and builtin function calls, a cost that does
 not move between runs as times do (work inside one builtin counts once,
-whatever its size).  The record holds the times, the calls, the growth ratio
+whatever its size).  The same pass records ``gc_full``, the number of full
+(generation 2) garbage collections that ran inside the layer, read from
+``gc.get_stats()`` after a ``gc.collect()`` (a ``gc.callbacks`` hook would
+be a Python call that cProfile counts in ``calls``).  The record holds the times, the calls, the growth ratio
 of both per 4x of n, and a SHA-256 digest of every layer's output, which
 must not change between repetitions.  This script is not a gate: it only
 writes the record.
@@ -86,10 +89,12 @@ def _timed(fn, *args):
 
 
 def _counted(fn, *args):
-    """fn(*args) with the number of function calls it made."""
+    """fn(*args) with (function calls it made, full collections meanwhile)."""
+    gc.collect()
+    full = gc.get_stats()[2]["collections"]
     profile = cProfile.Profile()
     out = profile.runcall(fn, *args)
-    return out, pstats.Stats(profile).total_calls
+    return out, (pstats.Stats(profile).total_calls, gc.get_stats()[2]["collections"] - full)
 
 
 def _census(T) -> list:
@@ -149,7 +154,8 @@ def measure(n: int, fraction: Fraction, repeats: int) -> dict:
         layers[name] = {
             "cpu_s": round(min(r[name][1][0] for r in runs), 4),
             "wall_s": round(min(r[name][1][1] for r in runs), 4),
-            "calls": counted[name][1],
+            "calls": counted[name][1][0],
+            "gc_full": counted[name][1][1],
             "digest": digests.pop(),
         }
     return {
@@ -200,7 +206,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"calls growth {growth['calls'][name]}")
     record = {
         "what": "per-layer time, min of repeats, fresh drawing per repetition; "
-                "calls from one more, profiled pass",
+                "calls and full GC collections from one more, profiled pass",
         "seed": SEED,
         "repeats": args.repeats,
         "python": platform.python_version(),

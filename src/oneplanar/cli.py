@@ -118,12 +118,13 @@ def _resolve_input(spec) -> tuple[AbstractGraph, OnePlanarDrawing | None, bytes]
         if generator == "plane_triangulation":
             d = gen_plane_triangulation(n, seed)
         elif generator == "random_oneplanar":
+            raw = spec.get("fraction", 0)
             try:
-                fraction = Fraction(spec.get("fraction", 0))
+                fraction = Fraction(raw)
             except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                raise _InputError(
-                    f"fraction must be a number or a p/q string, got {spec.get('fraction')!r}"
-                ) from None
+                fraction = None
+            if fraction is None or isinstance(raw, bool):  # Fraction(True) is 1
+                raise _InputError(f"fraction must be a number or a p/q string, got {raw!r}")
             d = gen_random_oneplanar(n, fraction, seed)
         else:
             raise _InputError(f"unknown generator {generator!r}")

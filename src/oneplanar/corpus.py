@@ -9,6 +9,9 @@ output is reproducible across platforms and reimplementations:
 
 A zero seed is remapped to the splitmix64 increment constant (the state
 must never be zero).  Sampling below n uses plain modulo reduction.
+
+Drawing JSON names each rotation entry by the token ``model.edge_ends``
+gives its link; the writer refuses an entry that is no link at its vertex.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .model import (
     MalformedDrawingError,
     OnePlanarDrawing,
     OnePlanarError,
+    crossing_ids,
+    edge_ends,
     normalize_edge,
     trace_faces,
 )
@@ -306,42 +311,24 @@ class DrawingFormatError(OnePlanarError):
     """Drawing file violates the schema; the message names the bad field."""
 
 
-_SLOTS = ("whole", "half1", "half2")
-
-
-def _edge_token(d: OnePlanarDrawing, w: int, x: int) -> list:
-    """Serialize the rotation entry 'neighbor x of w' as an edge-end token."""
-    n = d.n
-    if w < n and x < n:
-        e = normalize_edge(w, x)
-        if d.crossing_of_edge(*e) is not None:
-            raise MalformedDrawingError(
-                f"rotation[{w}] lists {x} directly but edge {e} is crossed"
-            )
-        return [e[0], e[1], "whole"]
-    if w < n <= x:
-        real, z = w, x
-    elif x < n <= w:
-        real, z = x, w
-    else:
-        raise MalformedDrawingError(f"adjacent crossing ids {w}, {x}")
-    c = d.crossings[z - n]
-    if real in c.e1:
-        e = c.e1
-    elif real in c.e2:
-        e = c.e2
-    else:
-        raise MalformedDrawingError(f"crossing {z} not incident to vertex {real}")
-    return [e[0], e[1], "half1" if real == e[0] else "half2"]
-
-
 def drawing_to_doc(d: OnePlanarDrawing) -> dict:
+    """The drawing as a JSON document, each rotation entry the token of its
+    link; an entry that is no link raises MalformedDrawingError."""
+    edges = d.base.sorted_edges()
+    token: list[dict[int, list]] = [{} for _ in range(d.planarization_size)]
+    for e, slot, (p, q) in edge_ends(edges, crossing_ids(d.n, d.crossings)):
+        token[p][q] = token[q][p] = [e[0], e[1], slot]
     rotation = {}
-    for w in range(d.planarization_size):
-        rotation[str(w)] = [_edge_token(d, w, x) for x in d.rotation[w]]
+    for w, (order, at_w) in enumerate(zip(d.rotation, token)):
+        try:
+            rotation[str(w)] = [at_w[x] for x in order]
+        except KeyError as exc:
+            raise MalformedDrawingError(
+                f"rotation[{w}] lists {exc.args[0]}, which no edge end joins to {w}"
+            ) from None
     return {
         "n": d.n,
-        "edges": [list(e) for e in d.base.sorted_edges()],
+        "edges": [list(e) for e in edges],
         "crossings": [{"e1": list(c.e1), "e2": list(c.e2)} for c in d.crossings],
         "rotation": rotation,
     }
@@ -357,10 +344,13 @@ def _expect_int(value, where: str) -> int:
     return value
 
 
-def _expect_pair(value, where: str) -> Edge:
+def _expect_edge(value, where: str) -> Edge:
     if not isinstance(value, list) or len(value) != 2:
         raise DrawingFormatError(f"{where}: expected [u, v]")
-    return (_expect_int(value[0], where), _expect_int(value[1], where))
+    try:
+        return normalize_edge(_expect_int(value[0], where), _expect_int(value[1], where))
+    except MalformedDrawingError as exc:
+        raise DrawingFormatError(f"{where}: {exc}") from None
 
 
 def drawing_from_doc(doc) -> OnePlanarDrawing:
@@ -373,13 +363,10 @@ def drawing_from_doc(doc) -> OnePlanarDrawing:
         if key not in doc:
             raise DrawingFormatError(f"top level: missing field {key!r}")
     n = _expect_int(doc["n"], "n")
-    if not isinstance(doc["edges"], list):
-        raise DrawingFormatError("edges: expected list")
-    if not isinstance(doc["crossings"], list):
-        raise DrawingFormatError("crossings: expected list")
+    for key, want in (("edges", list), ("crossings", list), ("rotation", dict)):
+        if not isinstance(doc[key], want):
+            raise DrawingFormatError(f"{key}: expected {'object' if want is dict else 'list'}")
     rot_doc = doc["rotation"]
-    if not isinstance(rot_doc, dict):
-        raise DrawingFormatError("rotation: expected object")
     # one rotation per vertex and crossing; compared before anything is
     # built for n vertices, so memory stays bounded by the document's size
     total = n + len(doc["crossings"])
@@ -389,7 +376,7 @@ def drawing_from_doc(doc) -> OnePlanarDrawing:
         )
     try:
         base = AbstractGraph(
-            n, [_expect_pair(e, f"edges[{i}]") for i, e in enumerate(doc["edges"])]
+            n, [_expect_edge(e, f"edges[{i}]") for i, e in enumerate(doc["edges"])]
         )
     except MalformedDrawingError as exc:
         raise DrawingFormatError(f"edges: {exc}") from None
@@ -398,65 +385,30 @@ def drawing_from_doc(doc) -> OnePlanarDrawing:
         where = f"crossings[{i}]"
         if not isinstance(rec, dict) or set(rec) != {"e1", "e2"}:
             raise DrawingFormatError(f"{where}: expected object with fields e1, e2")
-        e1 = _expect_pair(rec["e1"], where + ".e1")
-        e2 = _expect_pair(rec["e2"], where + ".e2")
-        crossings.append(Crossing(normalize_edge(*e1), normalize_edge(*e2)))
+        e1 = _expect_edge(rec["e1"], where + ".e1")
+        crossings.append(Crossing(e1, _expect_edge(rec["e2"], where + ".e2")))
 
-    edge_cross: dict[Edge, int] = {}
-    for i, c in enumerate(crossings):
-        for e in (c.e1, c.e2):
-            edge_cross.setdefault(e, n + i)
-
-    expected_keys = {str(w) for w in range(total)}
-    if set(rot_doc) != expected_keys:
-        missing = sorted(expected_keys - set(rot_doc))
-        extra = sorted(set(rot_doc) - expected_keys)
-        raise DrawingFormatError(
-            f"rotation: keys mismatch (missing {missing[:3]}, unexpected {extra[:3]})"
-        )
-
-    rotation: list[list[int]] = []
+    # ends[slot][edge]: the link a token [*edge, slot] names, keyed by edge tuples already built
+    ends: dict[str, dict[Edge, tuple[int, int]]] = {}
+    for e, slot, link in edge_ends(base.edges, crossing_ids(n, crossings)):
+        ends.setdefault(slot, {})[e] = link
+    rotation: list[tuple[int, ...]] = []
     for w in range(total):
-        tokens = rot_doc[str(w)]
+        tokens = rot_doc.get(str(w))
         if not isinstance(tokens, list):
-            raise DrawingFormatError(f"rotation.{w}: expected list of tokens")
+            problem = "expected list of tokens" if str(w) in rot_doc else "missing key"
+            raise DrawingFormatError(f"rotation.{w}: {problem}")
         entry = []
         for k, tok in enumerate(tokens):
-            where = f"rotation.{w}[{k}]"
-            if not isinstance(tok, list) or len(tok) != 3:
-                raise DrawingFormatError(f"{where}: expected [u, v, slot]")
-            u = _expect_int(tok[0], where)
-            v = _expect_int(tok[1], where)
-            slot = tok[2]
-            if slot not in _SLOTS:
-                raise DrawingFormatError(f"{where}: unknown slot {slot!r}")
-            try:
-                e = normalize_edge(u, v)
-            except MalformedDrawingError:
-                raise DrawingFormatError(f"{where}: loop token {tok}") from None
-            if e not in base.edges:
-                raise DrawingFormatError(f"{where}: references nonexistent edge {list(e)}")
-            z = edge_cross.get(e)
-            if slot == "whole":
-                if z is not None:
-                    raise DrawingFormatError(f"{where}: edge {list(e)} is crossed, not whole")
-                if w == e[0]:
-                    entry.append(e[1])
-                elif w == e[1]:
-                    entry.append(e[0])
-                else:
-                    raise DrawingFormatError(f"{where}: token not incident to vertex {w}")
-            else:
-                if z is None:
-                    raise DrawingFormatError(f"{where}: edge {list(e)} is not crossed")
-                end = e[0] if slot == "half1" else e[1]
-                if w == end:
-                    entry.append(z)
-                elif w == z:
-                    entry.append(end)
-                else:
-                    raise DrawingFormatError(f"{where}: token not incident to vertex {w}")
-        rotation.append(entry)
+            if type(tok) is list and len(tok) == 3:
+                u, v, slot = tok
+                if type(u) is int and type(v) is int and type(slot) is str:
+                    link = ends.get(slot, {}).get((u, v) if u < v else (v, u), ())
+                    if w in link:
+                        entry.append(link[1] if w == link[0] else link[0])
+                        continue
+            raise DrawingFormatError(f"rotation.{w}[{k}]: token {tok!r:.60} is no edge end at {w}")
+        rotation.append(tuple(entry))  # the drawing keeps a tuple as it is
     try:
         return OnePlanarDrawing(base, crossings, rotation)
     except MalformedDrawingError as exc:

@@ -4,6 +4,9 @@ Graphs are simple and undirected with dense integer vertex ids 0..n-1.
 A drawing is stored in planarized form: each crossing point is a degree-4
 vertex whose id sits above the real-vertex range (crossing i has id n+i),
 and the embedding is a rotation system over all planarization vertices.
+Each rotation entry is a link: an uncrossed edge or half of a crossed one.
+``edge_ends`` lists every link with its drawing-JSON token [u, v, slot];
+the JSON reader, the writer and validation all work from it.
 Faces are recovered by rotation traversal, which makes "each edge crossed
 at most once" and the genus-0 certificate structural checks instead of
 geometric ones.
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Edge = tuple[int, int]
 
@@ -112,6 +115,32 @@ class Crossing(NamedTuple):
         return (*self.e1, *self.e2)
 
 
+def crossing_ids(n: int, crossings: Iterable[Crossing]) -> dict[Edge, int]:
+    """Planarization id n + i of crossing i on each edge it crosses; where
+    records name an edge more than once, the first one wins."""
+    ids: dict[Edge, int] = {}
+    for i, c in enumerate(crossings):
+        for e in c:
+            ids.setdefault(e, n + i)
+    return ids
+
+
+def edge_ends(
+    edges: Iterable[Edge], crossing_of: Mapping[Edge, int]
+) -> Iterator[tuple[Edge, str, tuple[int, int]]]:
+    """Every planarization link as (edge, slot, (p, q)), the one map between
+    drawing-JSON tokens [e[0], e[1], slot] and links: slot ``whole`` joins
+    the ends of an uncrossed edge (the link is the edge tuple itself),
+    ``half1`` and ``half2`` join e[0] and e[1] to the crossing on the edge."""
+    for e in edges:
+        z = crossing_of.get(e)
+        if z is None:
+            yield e, "whole", e
+        else:
+            yield e, "half1", (e[0], z)
+            yield e, "half2", (e[1], z)
+
+
 class OnePlanarDrawing:
     """A 1-planar drawing: base graph, crossing records, planarization rotation.
 
@@ -154,11 +183,7 @@ class OnePlanarDrawing:
                     raise MalformedDrawingError(f"rotation[{w}] references id {x} out of range")
             rot.append(tuple(order))
         self.rotation: tuple[tuple[int, ...], ...] = tuple(rot)
-        ec: dict[Edge, int] = {}
-        for i, c in enumerate(self.crossings):
-            for e in (c.e1, c.e2):
-                ec.setdefault(e, n + i)
-        self._edge_crossing = ec
+        self._edge_crossing = crossing_ids(n, self.crossings)
         self._face_list: FaceList | None = None
         self._report: ValidationReport | None = None
 
@@ -312,22 +337,6 @@ class ValidationReport:
         return [v.code for v in self.violations]
 
 
-def _expected_planarization(d: OnePlanarDrawing) -> list[set[int]]:
-    """Expected neighbor sets in the planarization of unambiguous records."""
-    expected: list[set[int]] = [set() for _ in range(d.planarization_size)]
-    for u, v in d.base.edges:
-        z = d.crossing_of_edge(u, v)
-        if z is None:
-            expected[u].add(v)
-            expected[v].add(u)
-        else:
-            expected[u].add(z)
-            expected[v].add(z)
-            expected[z].add(u)
-            expected[z].add(v)
-    return expected
-
-
 def validate_drawing(d: OnePlanarDrawing) -> ValidationReport:
     """Check every drawing invariant; an empty report means valid.
 
@@ -390,7 +399,10 @@ def _check_invariants(d: OnePlanarDrawing) -> ValidationReport:
 
     if ambiguous:
         return ValidationReport(tuple(out), MappingProxyType(stats))
-    expected = _expected_planarization(d)
+    expected: list[set[int]] = [set() for _ in range(d.planarization_size)]
+    for _, _, (p, q) in edge_ends(d.base.edges, d._edge_crossing):
+        expected[p].add(q)
+        expected[q].add(p)
 
     coverage_ok = True
     for w in range(d.planarization_size):

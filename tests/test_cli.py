@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from oneplanar import gen_random_oneplanar, named_instance, save_drawing, write_graph6
+from oneplanar import (
+    gen_random_oneplanar,
+    named_instance,
+    save_drawing,
+    write_drawing_json,
+    write_graph6,
+)
 from oneplanar.cli import GEN_N_MAX, main
 from oneplanar.model import AbstractGraph
 
@@ -54,7 +60,7 @@ def test_gen_named(tmp_path):
 
 def test_validate_reports_failure(tmp_path):
     kite = named_instance("kite")
-    doc = json.loads(__import__("oneplanar").write_drawing_json(kite))
+    doc = json.loads(write_drawing_json(kite))
     doc["rotation"]["4"] = [doc["rotation"]["4"][i] for i in (0, 2, 1, 3)]
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(doc), encoding="utf-8")
@@ -336,6 +342,16 @@ def test_incomplete_drawing_is_unusable_input(tmp_path):
     _assert_input_error(run_cli("validate", str(p)))
 
 
+def test_refused_token_is_unusable_input(tmp_path):
+    doc = json.loads(write_drawing_json(named_instance("kite")))
+    doc["rotation"]["0"][0] = [0, 1, "whole"]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    r = run_cli("validate", str(p))
+    _assert_input_error(r)
+    assert "rotation.0[0]" in json.loads(r.stderr)["message"]
+
+
 def _run_capped(*args):
     # under an address-space cap, a regression that allocates for a huge n
     # ends in a quick MemoryError (exit 1) instead of a 20 GB allocation
@@ -402,7 +418,10 @@ GOOD_ENTRY = {"name": "good", "input": {"kind": "named", "name": "octahedron"},
     {"name": "bad", "input": {"kind": "file", "path": "a\u0000b.json"}, "checks": ["validate"]},
     {"name": "bad", "input": {"kind": "named", "name": "k4"}, "checks": ["oracle"],
      "oracle_limit": "9"},
-], ids=["gen-n-string", "g6-text-int", "entry-string", "path-nul", "oracle-limit-string"])
+    {"name": "bad", "input": {"kind": "gen", "n": 10, "seed": 1, "fraction": True},
+     "checks": ["validate"]},
+], ids=["gen-n-string", "g6-text-int", "entry-string", "path-nul", "oracle-limit-string",
+        "gen-fraction-bool"])
 def test_run_suite_wrong_typed_entry_is_recorded(tmp_path, bad):
     mpath = tmp_path / "m.json"
     mpath.write_text(json.dumps({"entries": [bad, GOOD_ENTRY]}), encoding="utf-8")

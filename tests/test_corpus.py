@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,11 @@ from hypothesis import strategies as st
 
 from oneplanar import (
     AbstractGraph,
+    Crossing,
     Graph6Error,
     DrawingFormatError,
+    MalformedDrawingError,
+    OnePlanarDrawing,
     OnePlanarError,
     XorShift64Star,
     edge_bound_check,
@@ -26,6 +30,8 @@ from oneplanar import (
     write_graph6,
 )
 from oneplanar.corpus import NAMED_INSTANCES, GenerationError
+
+from conftest import CORPUS_FRACTIONS, without_uncrossed_edges
 
 DATA = Path(__file__).parent / "data"
 
@@ -184,8 +190,6 @@ def test_drawing_json_golden_k6():
 
 def test_drawing_json_unknown_field_rejected():
     s = write_drawing_json(named_instance("kite"))
-    import json
-
     doc = json.loads(s)
     doc["comment"] = "hello"
     with pytest.raises(DrawingFormatError) as exc:
@@ -194,8 +198,6 @@ def test_drawing_json_unknown_field_rejected():
 
 
 def test_drawing_json_nonexistent_edge_named():
-    import json
-
     doc = json.loads(write_drawing_json(named_instance("k3")))
     doc["rotation"]["0"] = [[0, 1, "whole"], [0, 9, "whole"]]
     with pytest.raises(DrawingFormatError) as exc:
@@ -204,8 +206,6 @@ def test_drawing_json_nonexistent_edge_named():
 
 
 def test_drawing_json_bad_slot_and_keys():
-    import json
-
     base = json.loads(write_drawing_json(named_instance("kite")))
     bad = dict(base)
     bad["rotation"] = dict(base["rotation"])
@@ -219,13 +219,78 @@ def test_drawing_json_bad_slot_and_keys():
 
 
 def test_drawing_json_whole_token_for_crossed_edge():
-    import json
-
     doc = json.loads(write_drawing_json(named_instance("kite")))
     doc["rotation"]["0"] = [[0, 1, "whole"]]
     with pytest.raises(DrawingFormatError):
         read_drawing_json(json.dumps(doc))
 
+
+# K6: at vertex 0, edge 0-1 is uncrossed and edge 0-4 is crossed
+@pytest.mark.parametrize("token", [
+    "0-1", 5, [0, 1], [True, 1, "whole"], [0.0, 1, "whole"], [0, 1, "half3"],
+    [0, 1, ["whole"]], [0, 0, "whole"], [0, 9, "whole"], [0, 4, "whole"],
+    [0, 1, "half1"], [3, 5, "whole"],
+], ids=["string", "int", "length-2", "bool-end", "float-end", "half3", "unhashable-slot",
+        "loop", "nonexistent-edge", "whole-on-crossed", "half1-on-uncrossed", "not-at-w"])
+def test_drawing_json_refused_token_names_its_field(token):
+    doc = json.loads(write_drawing_json(named_instance("k6_1planar")))
+    doc["rotation"]["0"][0] = token
+    with pytest.raises(DrawingFormatError) as exc:
+        read_drawing_json(json.dumps(doc))
+    assert "rotation.0[0]" in str(exc.value)
+
+
+def test_drawing_json_misnamed_rotation_key_is_refused():
+    doc = json.loads(write_drawing_json(named_instance("k6_1planar")))
+    doc["rotation"]["x"] = doc["rotation"].pop("5")
+    with pytest.raises(DrawingFormatError) as exc:
+        read_drawing_json(json.dumps(doc))
+    assert "rotation" in str(exc.value) and "5" in str(exc.value)
+
+
+def test_drawing_json_loop_crossing_record_is_refused():
+    doc = json.loads(write_drawing_json(named_instance("kite")))
+    doc["crossings"][0]["e1"] = [3, 3]
+    with pytest.raises(DrawingFormatError) as exc:
+        read_drawing_json(json.dumps(doc))
+    assert "crossings[0].e1" in str(exc.value)
+
+
+# each would write a file that read_drawing_json refuses
+UNWRITABLE = {
+    "rotation-lists-non-edge": OnePlanarDrawing(
+        AbstractGraph(3, [(0, 1), (1, 2)]), [], [[1, 2], [0, 2], [1, 0]]
+    ),
+    "edge-crossed-twice": OnePlanarDrawing(
+        AbstractGraph(6, [(0, 1), (2, 3), (4, 5)]),
+        [Crossing((0, 1), (2, 3)), Crossing((0, 1), (4, 5))],
+        [[6, 7], [6, 7], [6], [6], [7], [7], [0, 2, 1, 3], [0, 4, 1, 5]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNWRITABLE))
+def test_writer_refuses_an_entry_that_is_no_link(name):
+    with pytest.raises(MalformedDrawingError) as exc:
+        write_drawing_json(UNWRITABLE[name])
+    assert "rotation[0]" in str(exc.value)
+
+
+@given(
+    n=st.integers(4, 300),
+    fraction=st.sampled_from(CORPUS_FRACTIONS),
+    seed=st.integers(0, 2**32),
+    every=st.sampled_from([None, 2, 3, 5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_drawing_json_roundtrip_generated(n, fraction, seed, every):
+    d = gen_random_oneplanar(n, fraction, seed)
+    if every is not None:
+        d = without_uncrossed_edges(d, every)
+    s = write_drawing_json(d)
+    d2 = read_drawing_json(s)
+    assert d2 == d
+    assert write_drawing_json(d2) == s
 
 # sha256 of write_drawing_json for each generator output: "random-n-fraction-
 # seed" is gen_random_oneplanar(n, fraction, seed), "plane-n-seed" is

@@ -258,11 +258,11 @@ def test_non_canonical_drawing_is_traced_twice(monkeypatch):
 
 def test_drawing_is_validated_once(monkeypatch):
     # every stage below validates the same drawing; the report kept on it
-    # must serve them all (one run of the unambiguous-planarization check)
+    # must serve them all (one run of the invariant checks)
     d = gen_random_oneplanar(150, Fraction(1, 2), 11)
     calls = []
-    real = model._expected_planarization
-    monkeypatch.setattr(model, "_expected_planarization", lambda x: calls.append(1) or real(x))
+    real = model._check_invariants
+    monkeypatch.setattr(model, "_check_invariants", lambda x: calls.append(1) or real(x))
     rep = validate_drawing(d)
     T = canonical_triangulate(d)
     assert T.drawing is d and is_canonical(T.drawing)

@@ -1,4 +1,5 @@
-"""``scripts/scale.py`` records call counts that do not move between runs."""
+"""``scripts/scale.py`` records call and full-collection counts that do not
+move between runs."""
 
 from __future__ import annotations
 
@@ -22,6 +23,9 @@ def test_calls_are_identical_between_runs():
     calls = {name: layer["calls"] for name, layer in first["layers"].items()}
     assert set(calls) == set(scale.LAYERS) and all(calls.values())
     assert calls == {name: layer["calls"] for name, layer in second["layers"].items()}
+    gc_full = {name: layer["gc_full"] for name, layer in first["layers"].items()}
+    assert all(isinstance(count, int) and count >= 0 for count in gc_full.values())
+    assert gc_full == {name: layer["gc_full"] for name, layer in second["layers"].items()}
     assert {k: v["digest"] for k, v in first["layers"].items()} == {
         k: v["digest"] for k, v in second["layers"].items()
     }
