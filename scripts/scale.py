@@ -18,7 +18,7 @@ triangulation steps 1-5 run), then times these layers, each the minimum of
 - ``validate``: ``validate_drawing`` of the drawing read back;
 - ``census``: ``classify_neighbors`` of every vertex of its (already
   canonical) triangulation;
-- ``initial_charges`` and ``apply_rules`` on that triangulation;
+- ``initial_charges``, ``apply_rules`` and ``audit`` on that triangulation;
 - ``color_run`` of its graph, plan included;
 - ``verify``: ``verify_acyclic`` of that coloring.
 
@@ -30,10 +30,13 @@ not move between runs as times do (work inside one builtin counts once,
 whatever its size).  The same pass records ``gc_full``, the number of full
 (generation 2) garbage collections that ran inside the layer, read from
 ``gc.get_stats()`` after a ``gc.collect()`` (a ``gc.callbacks`` hook would
-be a Python call that cProfile counts in ``calls``).  The record holds the times, the calls, the growth ratio
-of both per 4x of n, and a SHA-256 digest of every layer's output, which
-must not change between repetitions.  This script is not a gate: it only
-writes the record.
+be a Python call that cProfile counts in ``calls``).  A last pass, also
+untimed and unprofiled, runs every layer under tracemalloc and records
+``peak_kib``, the peak of the memory that Python allocated inside the layer
+above what was allocated when it started.  The record holds the times, the
+calls, the growth ratio of both per 4x of n, and a SHA-256 digest of every
+layer's output, which must not change between repetitions.  This script is
+not a gate: it only writes the record.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ import platform
 import pstats
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,6 +59,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from oneplanar import (  # noqa: E402
     apply_rules,
+    audit,
     canonical_triangulate,
     classify_neighbors,
     color_run,
@@ -70,7 +75,7 @@ SIZES = (1000, 4000, 16000)
 FRACTIONS = (Fraction(0), Fraction(1, 2), Fraction(1))
 SEED = 7
 LAYERS = ("gen", "write_json", "read_json", "triangulate_thinned", "validate", "census",
-          "initial_charges", "apply_rules", "color_run", "verify")
+          "initial_charges", "apply_rules", "audit", "color_run", "verify")
 
 
 def _digest(*parts) -> str:
@@ -97,13 +102,25 @@ def _counted(fn, *args):
     return out, (pstats.Stats(profile).total_calls, gc.get_stats()[2]["collections"] - full)
 
 
+def _peak(fn, *args):
+    """fn(*args) with the peak KiB that Python allocated inside it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, (round(peak / 1024),)
+
+
 def _census(T) -> list:
     return [classify_neighbors(T, v) for v in range(T.drawing.n)]
 
 
 def _one_repetition(n: int, fraction: Fraction, thin_text: str, run=_timed) -> dict[str, tuple]:
-    """Every layer once, on fresh drawings, each called through run (_timed
-    or _counted); name -> (digest, what run measured)."""
+    """Every layer once, on fresh drawings, each called through run (_timed,
+    _counted or _peak); name -> (digest, what run measured)."""
     out = {}
     d, cost = run(gen_random_oneplanar, n, fraction, SEED)
     text, cost_w = run(write_drawing_json, d)
@@ -129,6 +146,8 @@ def _one_repetition(n: int, fraction: Fraction, thin_text: str, run=_timed) -> d
     out["initial_charges"] = (_digest(sorted(led0.charges.items(), key=repr)), cost)
     led1, cost = run(apply_rules, T, led0)
     out["apply_rules"] = (_digest(sorted(led1.charges.items(), key=repr), led1.transcript), cost)
+    report, cost = run(audit, led1)
+    out["audit"] = (_digest(report), cost)
 
     g = d.base
     result, cost = run(color_run, g)
@@ -146,9 +165,10 @@ def measure(n: int, fraction: Fraction, repeats: int) -> dict:
     thin_text = write_drawing_json(thin)
     runs = [_one_repetition(n, fraction, thin_text) for _ in range(repeats)]
     counted = _one_repetition(n, fraction, thin_text, _counted)
+    traced = _one_repetition(n, fraction, thin_text, _peak)
     layers = {}
     for name in LAYERS:
-        digests = {r[name][0] for r in runs} | {counted[name][0]}
+        digests = {r[name][0] for r in (*runs, counted, traced)}
         if len(digests) != 1:
             raise SystemExit(f"{name} at n={n}, f={fraction}: outputs differ between repetitions")
         layers[name] = {
@@ -156,6 +176,7 @@ def measure(n: int, fraction: Fraction, repeats: int) -> dict:
             "wall_s": round(min(r[name][1][1] for r in runs), 4),
             "calls": counted[name][1][0],
             "gc_full": counted[name][1][1],
+            "peak_kib": traced[name][1][0],
             "digest": digests.pop(),
         }
     return {
@@ -206,7 +227,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"calls growth {growth['calls'][name]}")
     record = {
         "what": "per-layer time, min of repeats, fresh drawing per repetition; "
-                "calls and full GC collections from one more, profiled pass",
+                "calls and full GC collections from one more, profiled pass; "
+                "tracemalloc peak from a last pass",
         "seed": SEED,
         "repeats": args.repeats,
         "python": platform.python_version(),

@@ -121,6 +121,8 @@ def gen_random_oneplanar(
     """
     if n < 4:
         raise GenerationError(f"random 1-planar generation needs n >= 4, got {n}")
+    if isinstance(crossing_fraction, bool):  # Fraction(True) is 1
+        raise GenerationError(f"crossing fraction must be a number, got {crossing_fraction}")
     frac = Fraction(crossing_fraction)
     if not 0 <= frac <= 1:
         raise GenerationError(f"crossing fraction {frac} outside [0, 1]")

@@ -4,8 +4,9 @@ Every real vertex starts with charge deg - 4 and every planarization face
 with length - 4; crossing vertices carry no entry (their contribution is
 identically zero).  For one connected component the grand total is exactly
 -8, and the transfer rules only move charge, so the total is preserved
-after every prefix of the transcript.  All arithmetic is fractions.Fraction,
-never floats.
+after every prefix of the transcript.  Arithmetic is exact, never floats:
+the rules move integer counts of 1/1260 (_UNIT, the LCM of every rule
+denominator), and each charge becomes a fractions.Fraction once, at the end.
 
 Transfer rules, applied once each where triggered:
 
@@ -25,9 +26,10 @@ Transfer rules, applied once each where triggered:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .model import OnePlanarError
 from .structure import CEILINGS, LIGHT_DEGREE_MAX
@@ -45,14 +47,15 @@ _BAND_RULES = (
     (Fraction(1, 12), Fraction(1, 4), Fraction(1, 3), Fraction(5, 12)),
     (Fraction(1, 9), Fraction(1, 3), Fraction(4, 9), Fraction(5, 9), Fraction(2, 3)),
 )
+_THIRD, _HALF = Fraction(1, 3), Fraction(1, 2)  # the face rules' amounts
+_UNIT = math.lcm(*(a.denominator for a in (_THIRD, _HALF, *sum(_BAND_RULES, ()))))
 
 
 class DischargingError(OnePlanarError):
     pass
 
 
-@dataclass(frozen=True)
-class Transfer:
+class Transfer(NamedTuple):
     rule: str
     source: ChargeKey
     target: ChargeKey
@@ -65,7 +68,11 @@ class ChargeLedger:
     transcript: tuple[Transfer, ...]
 
     def total(self) -> Fraction:
-        return sum(self.charges.values(), Fraction(0))
+        numerators: dict[int, int] = {}  # denominator -> sum of numerators
+        for c in self.charges.values():
+            a, b = c.as_integer_ratio()
+            numerators[b] = numerators.get(b, 0) + a
+        return sum((Fraction(a, b) for b, a in numerators.items()), Fraction(0))
 
     def vertex_charges(self) -> dict[int, Fraction]:
         return {k: v for k, v in self.charges.items() if isinstance(k, int)}
@@ -93,15 +100,14 @@ def initial_charges(T: CanonicalTriangulation) -> ChargeLedger:
     fl = d.face_list
     if fl.components != 1:
         raise DischargingError("discharging needs a connected drawing")
-    charges: dict[ChargeKey, Fraction] = {}
-    for v in range(d.n):
-        charges[v] = Fraction(d.base.degree(v) - 4)
-    for i, f in enumerate(fl.faces):
-        charges[("face", i)] = Fraction(len(f) - 4)
-    ledger = ChargeLedger(charges, ())
-    if ledger.total() != -8:
-        raise DischargingError(f"initial total is {ledger.total()}, expected -8")
-    return ledger
+    vertex = [d.base.degree(v) - 4 for v in range(d.n)]
+    face = [len(f) - 4 for f in fl.faces]
+    if sum(vertex) + sum(face) != -8:
+        raise DischargingError(f"initial total is {sum(vertex) + sum(face)}, expected -8")
+    shared = {x: Fraction(x) for x in {*vertex, *face}}
+    charges: dict[ChargeKey, Fraction] = {v: shared[x] for v, x in enumerate(vertex)}
+    charges.update((("face", i), shared[x]) for i, x in enumerate(face))
+    return ChargeLedger(charges, ())
 
 
 def apply_rules(T: CanonicalTriangulation, ledger: ChargeLedger) -> ChargeLedger:
@@ -110,28 +116,35 @@ def apply_rules(T: CanonicalTriangulation, ledger: ChargeLedger) -> ChargeLedger
     n = d.n
     fl = d.face_list
     transcript: list[Transfer] = []
-    special = set(special_faces(T))
-    for i, f in enumerate(fl.faces):
-        if i in special:
-            continue
-        for v in sorted(f):
-            transcript.append(Transfer("triangle", v, ("face", i), Fraction(1, 3)))
-    for i in sorted(special):
-        for v in sorted(w for w in fl.faces[i] if w < n):
-            transcript.append(Transfer("crossing-triangle", v, ("face", i), Fraction(1, 2)))
+    units = dict.fromkeys(ledger.charges, 0)  # what each key gains, in 1/_UNIT
+    special = special_faces(T)
+    plain = sorted(set(range(len(fl.faces))).difference(special))
+    for rule, amount, faces in (("triangle", _THIRD, plain), ("crossing-triangle", _HALF, special)):
+        paid = int(_UNIT * amount)
+        for i in faces:
+            for v in sorted(w for w in fl.faces[i] if w < n):
+                transcript.append(Transfer(rule, v, ("face", i), amount))
+                units[v] -= paid
+                units[("face", i)] += paid
 
     degree = d.base.degree
     for c, top, amounts in zip(CEILINGS, (*CEILINGS[1:], None), _BAND_RULES, strict=True):
         rule = f"deg{c + 1}to{top}" if top else f"deg{c + 1}plus"
-        table = {LIGHT_DEGREE_MAX - k: a for k, a in enumerate(amounts)}
+        table = {LIGHT_DEGREE_MAX - k: (a, int(_UNIT * a)) for k, a in enumerate(amounts)}
         for v in range(n):
             if degree(v) <= c or (top is not None and degree(v) > top):
                 continue
             for u in sorted(d.base.neighbors(v)):
-                amount = table.get(degree(u))
-                if amount is not None:
-                    transcript.append(Transfer(rule, v, u, amount))
-    return replay(ledger, transcript)
+                paid = table.get(degree(u))
+                if paid is not None:
+                    transcript.append(Transfer(rule, v, u, paid[0]))
+                    units[v] -= paid[1]
+                    units[u] += paid[1]
+    charges = dict(ledger.charges)
+    for key, moved in units.items():
+        a, b = charges[key].as_integer_ratio()
+        charges[key] = Fraction(a * _UNIT + moved * b, b * _UNIT)
+    return ChargeLedger(charges, (*ledger.transcript, *transcript))
 
 
 def replay(initial: ChargeLedger, transcript: Iterable[Transfer]) -> ChargeLedger:
@@ -161,11 +174,10 @@ def audit(ledger: ChargeLedger) -> AuditReport:
     of the report.
     """
     total = ledger.total()
-    negatives = tuple(
-        k
-        for k in sorted(ledger.charges, key=lambda k: (isinstance(k, tuple), k))
-        if ledger.charges[k] < 0
-    )
+    negatives = tuple(sorted(
+        (k for k, c in ledger.charges.items() if c.numerator < 0),
+        key=lambda k: (isinstance(k, tuple), k),
+    ))
     return AuditReport(
         total=total,
         negatives=negatives,

@@ -73,6 +73,13 @@ def test_gen_plane_triangulation_rejects_small():
         gen_plane_triangulation(2, 0)
 
 
+@pytest.mark.parametrize("fraction", [True, False])
+def test_gen_random_oneplanar_refuses_a_bool_fraction(fraction):
+    with pytest.raises(GenerationError) as exc:
+        gen_random_oneplanar(20, fraction, 1)
+    assert str(fraction) in str(exc.value)
+
+
 def test_gen_random_oneplanar_fraction_zero_is_planar():
     d = gen_random_oneplanar(30, 0, 5)
     assert d.num_crossings == 0
@@ -197,47 +204,43 @@ def test_drawing_json_unknown_field_rejected():
     assert "comment" in str(exc.value)
 
 
-def test_drawing_json_nonexistent_edge_named():
-    doc = json.loads(write_drawing_json(named_instance("k3")))
-    doc["rotation"]["0"] = [[0, 1, "whole"], [0, 9, "whole"]]
-    with pytest.raises(DrawingFormatError) as exc:
-        read_drawing_json(json.dumps(doc))
-    assert "rotation.0[1]" in str(exc.value)
-
-
-def test_drawing_json_bad_slot_and_keys():
-    base = json.loads(write_drawing_json(named_instance("kite")))
-    bad = dict(base)
-    bad["rotation"] = dict(base["rotation"])
-    bad["rotation"]["0"] = [[0, 1, "half3"]]
-    with pytest.raises(DrawingFormatError):
-        read_drawing_json(json.dumps(bad))
-    missing = dict(base)
-    missing["rotation"] = {k: v for k, v in base["rotation"].items() if k != "4"}
-    with pytest.raises(DrawingFormatError):
-        read_drawing_json(json.dumps(missing))
-
-
-def test_drawing_json_whole_token_for_crossed_edge():
+def test_drawing_json_missing_rotation_key_is_refused():
     doc = json.loads(write_drawing_json(named_instance("kite")))
-    doc["rotation"]["0"] = [[0, 1, "whole"]]
-    with pytest.raises(DrawingFormatError):
-        read_drawing_json(json.dumps(doc))
-
-
-# K6: at vertex 0, edge 0-1 is uncrossed and edge 0-4 is crossed
-@pytest.mark.parametrize("token", [
-    "0-1", 5, [0, 1], [True, 1, "whole"], [0.0, 1, "whole"], [0, 1, "half3"],
-    [0, 1, ["whole"]], [0, 0, "whole"], [0, 9, "whole"], [0, 4, "whole"],
-    [0, 1, "half1"], [3, 5, "whole"],
-], ids=["string", "int", "length-2", "bool-end", "float-end", "half3", "unhashable-slot",
-        "loop", "nonexistent-edge", "whole-on-crossed", "half1-on-uncrossed", "not-at-w"])
-def test_drawing_json_refused_token_names_its_field(token):
-    doc = json.loads(write_drawing_json(named_instance("k6_1planar")))
-    doc["rotation"]["0"][0] = token
+    del doc["rotation"]["4"]
     with pytest.raises(DrawingFormatError) as exc:
         read_drawing_json(json.dumps(doc))
-    assert "rotation.0[0]" in str(exc.value)
+    assert "rotation" in str(exc.value)
+
+
+# (instance, vertex-0 slot, token); at vertex 0 of K6, edge 0-1 is uncrossed
+# and edge 0-4 is crossed; in the kite, edge 0-1 is crossed
+REFUSED_TOKENS = {
+    "string": ("k6_1planar", 0, "0-1"),
+    "int": ("k6_1planar", 0, 5),
+    "length-2": ("k6_1planar", 0, [0, 1]),
+    "bool-end": ("k6_1planar", 0, [True, 1, "whole"]),
+    "float-end": ("k6_1planar", 0, [0.0, 1, "whole"]),
+    "half3": ("k6_1planar", 0, [0, 1, "half3"]),
+    "unhashable-slot": ("k6_1planar", 0, [0, 1, ["whole"]]),
+    "loop": ("k6_1planar", 0, [0, 0, "whole"]),
+    "nonexistent-edge": ("k6_1planar", 0, [0, 9, "whole"]),
+    "whole-on-crossed": ("k6_1planar", 0, [0, 4, "whole"]),
+    "half1-on-uncrossed": ("k6_1planar", 0, [0, 1, "half1"]),
+    "not-at-w": ("k6_1planar", 0, [3, 5, "whole"]),
+    "nonexistent-edge-second-slot": ("k3", 1, [0, 9, "whole"]),
+    "half3-on-kite": ("kite", 0, [0, 1, "half3"]),
+    "whole-on-crossed-kite": ("kite", 0, [0, 1, "whole"]),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_TOKENS.values(), ids=REFUSED_TOKENS)
+def test_drawing_json_refused_token_names_its_field(case):
+    name, slot, token = case
+    doc = json.loads(write_drawing_json(named_instance(name)))
+    doc["rotation"]["0"][slot] = token
+    with pytest.raises(DrawingFormatError) as exc:
+        read_drawing_json(json.dumps(doc))
+    assert f"rotation.0[{slot}]" in str(exc.value)
 
 
 def test_drawing_json_misnamed_rotation_key_is_refused():

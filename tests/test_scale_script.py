@@ -1,5 +1,5 @@
 """``scripts/scale.py`` records call and full-collection counts that do not
-move between runs."""
+move between runs, and a tracemalloc peak for every layer."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ def test_calls_are_identical_between_runs():
     gc_full = {name: layer["gc_full"] for name, layer in first["layers"].items()}
     assert all(isinstance(count, int) and count >= 0 for count in gc_full.values())
     assert gc_full == {name: layer["gc_full"] for name, layer in second["layers"].items()}
+    assert all(layer["peak_kib"] > 0 for layer in first["layers"].values())
     assert {k: v["digest"] for k, v in first["layers"].items()} == {
         k: v["digest"] for k, v in second["layers"].items()
     }
