@@ -21,8 +21,7 @@ from . import __version__
 from .coloring import (
     EdgeColoring,
     ListTooSmall,
-    acyclic_edge_color,
-    acyclic_edge_color_lists,
+    color_run,
     oracle_chi_a,
     palette_size,
     verify_acyclic,
@@ -310,7 +309,7 @@ def _check_discharge(g, d, **_) -> _Outcome:
 
 
 def _check_color(g, d, lists=None, **_) -> _Outcome:
-    ec = acyclic_edge_color(g) if lists is None else acyclic_edge_color_lists(g, lists)
+    ec = color_run(g, lists).coloring
     rep = verify_acyclic(g, ec)
     used = ec.num_colors()
     # a list coloring is bounded by its lists, not by the palette size L

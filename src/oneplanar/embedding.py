@@ -1,10 +1,13 @@
-"""Mutable rotation-system embedding with incremental face bookkeeping.
+"""Rotation-system surgeries, on bare rotations and with a face table.
 
-Used by the triangulation pipeline.  Faces are kept as explicit vertex
-cycles indexed by directed edge, and every surgery (chord insertion, edge
-deletion, crossing insertion/removal) updates rotations and faces locally,
-so a full retrace is never needed.  The crossing insertion itself is the
-rotation-level ``cross_edge``, which the generators call on bare rotations.
+Two rotation-level surgeries edit a rotation dict alone: ``split_face``
+draws a chord across a face walk and ``cross_edge`` draws a new edge
+across an old one.  The generators and steps 4-5 of the triangulation call
+them on bare rotations.  ``MutableEmbedding`` adds a face table indexed by
+directed edge, which only steps 1-3 of the triangulation read: every
+surgery there (chord insertion, edge deletion, crossing removal) updates
+rotations and faces locally, so a full retrace is never needed, and its
+chord insertion is ``split_face`` plus the face bookkeeping.
 
 Face-walk convention throughout: having arrived at w along (u -> w), the
 walk leaves along (w -> x) where x is the successor of u in rotation[w].
@@ -21,6 +24,32 @@ from .model import OnePlanarError
 
 class EmbeddingError(OnePlanarError):
     """A surgery was applied in a state where it is not defined."""
+
+
+def split_face(
+    rot: MutableMapping[int, list[int]], walk: list[int], i: int, j: int
+) -> tuple[list[int], list[int]]:
+    """Draw a chord across face ``walk`` between positions i < j; returns the
+    two faces it leaves, walk[i..j] and then the rest, each closed by the chord.
+
+    The caller checks that the endpoints are distinct and non-adjacent and
+    that the positions are not consecutive on the face.
+    """
+    x, y = walk[i], walk[j]
+    rx = rot[x]
+    rx.insert(rx.index(walk[i - 1]) + 1, y)
+    ry = rot[y]
+    ry.insert(ry.index(walk[j - 1]) + 1, x)
+    return walk[i : j + 1], walk[j:] + walk[: i + 1]
+
+
+def dir_index(face: list[int], u: int, v: int) -> int:
+    """The first position i of face with face[i] = u followed by face[i + 1] = v."""
+    L = len(face)
+    for i in range(L):
+        if face[i] == u and face[(i + 1) % L] == v:
+            return i
+    raise EmbeddingError(f"directed edge ({u},{v}) not on face {face}")
 
 
 def cross_edge(rot: MutableMapping[int, list[int]], b: int, d: int, z: int) -> tuple[int, int]:
@@ -46,7 +75,7 @@ def cross_edge(rot: MutableMapping[int, list[int]], b: int, d: int, z: int) -> t
 class MutableEmbedding:
     """Rotations plus their face cycles, which the caller supplies in trace
     order (``trace_faces(rotations).faces``); step 4 of the triangulation
-    relies on face ids following that order."""
+    seeds its heap with the face ids, so they must follow that order."""
 
     def __init__(self, rotations: Sequence[Sequence[int]], faces: Iterable[Sequence[int]]):
         self.rot: dict[int, list[int]] = {w: list(order) for w, order in enumerate(rotations)}
@@ -64,11 +93,9 @@ class MutableEmbedding:
         for i in range(L):
             self.edge_face[(walk[i], walk[(i + 1) % L])] = fid
 
-    def _register_face(self, walk: list[int]) -> int:
-        fid = self._next_fid
+    def _register_face(self, walk: list[int]) -> None:
+        self._set_face(self._next_fid, walk)
         self._next_fid += 1
-        self._set_face(fid, walk)
-        return fid
 
     # -- queries -----------------------------------------------------------
 
@@ -80,10 +107,10 @@ class MutableEmbedding:
 
     # -- surgeries ---------------------------------------------------------
 
-    def add_chord(self, fid: int, i: int, j: int) -> tuple[int, int]:
-        """Split face fid with a chord between positions i < j.
+    def add_chord(self, fid: int, i: int, j: int) -> None:
+        """Split face fid with a chord between positions i < j; the face[i..j]
+        side is registered first, then the complementary side.
 
-        Returns (fid of face[i..j] side, fid of the complementary side).
         The chord endpoints must be distinct, non-adjacent vertices and the
         positions must not be consecutive on the face.
         """
@@ -99,19 +126,9 @@ class MutableEmbedding:
         if self.has_edge(x, y):
             raise EmbeddingError(f"chord {x}-{y} already an edge")
 
-        prev_x = face[i - 1]
-        prev_y = face[j - 1]
-        rx = self.rot[x]
-        rx.insert(rx.index(prev_x) + 1, y)
-        ry = self.rot[y]
-        ry.insert(ry.index(prev_y) + 1, x)
-
-        f1 = face[i : j + 1]          # x .. y, closed by chord (y -> x)
-        f2 = face[j:] + face[: i + 1]  # y .. x, closed by chord (x -> y)
         del self.faces[fid]
-        fid1 = self._register_face(f1)
-        fid2 = self._register_face(f2)
-        return fid1, fid2
+        for walk in split_face(self.rot, face, i, j):
+            self._register_face(walk)
 
     def _check_deletable(self, u: int, v: int) -> None:
         if not self.has_edge(u, v):
@@ -129,16 +146,16 @@ class MutableEmbedding:
         f1 = self.edge_face[(u, v)]
         f2 = self.edge_face[(v, u)]
         face1 = self.faces[f1]
-        p = self._dir_index(face1, u, v)
+        p = dir_index(face1, u, v)
         if f1 != f2:
             face2 = self.faces[f2]
-            q = self._dir_index(face2, v, u)
+            q = dir_index(face2, v, u)
             # u -> v -> A... and v -> u -> B... merge to u -> B... -> v -> A...
             a_part = face1[p + 1 :] + face1[:p]  # v, A..., (back to u)
             b_part = face2[q + 1 :] + face2[:q]  # u, B..., (back to v)
             new_faces = [b_part + a_part]
         else:
-            q = self._dir_index(face1, v, u)
+            q = dir_index(face1, v, u)
             if p > q:
                 p, q = q, p
                 u, v = v, u
@@ -152,42 +169,6 @@ class MutableEmbedding:
             del self.faces[fid]
         for face in new_faces:
             self._register_face(face)
-
-    @staticmethod
-    def _dir_index(face: list[int], u: int, v: int) -> int:
-        L = len(face)
-        for i in range(L):
-            if face[i] == u and face[(i + 1) % L] == v:
-                return i
-        raise EmbeddingError(f"directed edge ({u},{v}) not on face {face}")
-
-    def insert_crossing(self, b: int, d: int, z: int) -> tuple[int, int]:
-        """Replace edge b-d by a new edge crossing it at new vertex z.
-
-        Both faces of b-d must be triangles; their third vertices a, c become
-        the endpoints of the new edge and must be distinct and non-adjacent.
-        Every precondition is checked before ``cross_edge`` edits anything.
-        Returns (a, c).
-        """
-        if z in self.rot:
-            raise EmbeddingError(f"vertex {z} already present")
-        if not self.has_edge(b, d):
-            raise EmbeddingError(f"no edge {b}-{d}")
-        f1 = self.edge_face[(b, d)]
-        f2 = self.edge_face[(d, b)]
-        for fid in (f1, f2):  # a closed 3-walk without loops has 3 distinct vertices
-            if len(self.faces[fid]) != 3:
-                raise EmbeddingError(f"face {fid} has length {len(self.faces[fid])}, not 3")
-        a, c = (next(w for w in self.faces[f] if w != b and w != d) for f in (f1, f2))
-        if a == c:
-            raise EmbeddingError(f"faces of {b}-{d} share third vertex {a}")
-        if self.has_edge(a, c):
-            raise EmbeddingError(f"new edge {a}-{c} already present")
-        cross_edge(self.rot, b, d, z)
-        del self.faces[f1], self.faces[f2], self.edge_face[(b, d)], self.edge_face[(d, b)]
-        for tri in ([a, b, z], [b, c, z], [c, d, z], [d, a, z]):
-            self._register_face(tri)
-        return a, c
 
     def remove_crossing(self, z: int, removed: tuple[int, int]) -> None:
         """Delete one of the two edges crossing at z; the other becomes whole.

@@ -21,6 +21,9 @@ The pipeline, applied to a valid connected drawing:
    happened to re-add such an edge as a plane chord, the re-insertion is
    skipped and that crossing simply disappears from the drawing.
 
+Steps 1-3 work on a ``MutableEmbedding``, whose face table they read.  Step
+4 reads that table once, to seed its heap, and from then on steps 4 and 5
+edit the bare rotations through ``split_face`` and ``cross_edge``.
 Provenance of every mutation is kept on the result.
 """
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .embedding import MutableEmbedding
+from .embedding import MutableEmbedding, cross_edge, dir_index, split_face
 from .model import (
     AbstractGraph,
     Crossing,
@@ -126,7 +129,7 @@ def canonical_triangulate(d: OnePlanarDrawing) -> CanonicalTriangulation:
                 fid = emb.edge_face[(x, z)]
             face = emb.faces[fid]
             L = len(face)
-            i = emb._dir_index(face, x, z)
+            i = dir_index(face, x, z)
             if face[(i + 2) % L] != y:
                 raise TriangulationError(f"corner {x}-{z}-{y} not on face {face}")
             p, q = sorted((i, (i + 2) % L))
@@ -143,14 +146,17 @@ def canonical_triangulate(d: OnePlanarDrawing) -> CanonicalTriangulation:
         gadj.discard(removed)
         removed_order.append((c, removed, kept))
 
-    # step 4: chord every remaining non-triangular face.  Only the popped face
-    # is ever split and face ids are never reused, so no entry goes stale.
+    # step 4: chord every remaining non-triangular face.  The face table is read
+    # once, to seed the heap; a new face takes the next id past every live one.
+    # Only the popped face is ever split, so no entry goes stale.  After step 3
+    # gadj is exactly the adjacency of the rotations, so a chord it lacks is new.
+    rot = emb.rot
     added_fill: list[Edge] = []
-    heap = [(-len(face), fid) for fid, face in emb.faces.items() if len(face) > 3]
+    heap = [(-len(face), fid, face) for fid, face in emb.faces.items() if len(face) > 3]
+    next_fid = max(emb.faces) + 1
     heapq.heapify(heap)
     while heap:
-        _, fid = heapq.heappop(heap)
-        face = emb.faces[fid]
+        _, _, face = heapq.heappop(heap)
         L = len(face)
         choice: tuple[Edge, int] | None = None
         for i in range(L):
@@ -166,19 +172,22 @@ def canonical_triangulate(d: OnePlanarDrawing) -> CanonicalTriangulation:
             raise StepFourDeadlock(face)
         e, i = choice
         p, q = sorted((i, (i + 2) % L))
-        for part in emb.add_chord(fid, p, q):
-            if len(emb.faces[part]) > 3:
-                heapq.heappush(heap, (-len(emb.faces[part]), part))
+        for part in split_face(rot, face, p, q):
+            if len(part) > 3:
+                heapq.heappush(heap, (-len(part), next_fid, part))
+            next_fid += 1
         gadj.add(e)
         added_fill.append(e)
 
     # step 5: re-insert the removed edges across their old partners.  Steps 2
     # and 3 smoothed every crossing vertex away, so crossing i gets id n + i.
+    # Each kept edge is whole and every face is a triangle, so cross_edge needs
+    # no check beyond the ends it draws the new edge between.
     final_crossings: list[Crossing] = []
     for record, removed, kept in removed_order:
         if removed in gadj:
             continue  # step 4 restored it as a plane edge; the crossing is gone
-        a, c = emb.insert_crossing(kept[0], kept[1], n + len(final_crossings))
+        a, c = cross_edge(rot, kept[0], kept[1], n + len(final_crossings))
         if {a, c} != set(removed):
             raise TriangulationError(
                 f"cannot restore edge {removed} across {kept}: "

@@ -82,6 +82,19 @@ def test_triangulate_roundtrip(tmp_path):
     assert r2.returncode == 0
 
 
+def test_triangulate_refusal_is_one_json_line(tmp_path):
+    from test_triangulation import QUAD_LOST_MESSAGE, STEP2_QUAD_LOST
+
+    src = tmp_path / "quad_lost.json"
+    save_drawing(STEP2_QUAD_LOST, src)
+    r = run_cli("triangulate", str(src), "-o", str(tmp_path / "out.json"))
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "TriangulationError", "message": QUAD_LOST_MESSAGE}
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_census(octa_file):
     r = run_cli("census", str(octa_file), "--vertex", "0")
     assert r.returncode == 0

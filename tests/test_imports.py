@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 private module-level function, class or constant is used where it is
-defined, and every public function or method is read somewhere in the
-package, its tests or its benchmark.
+defined, every public function or method is read somewhere in the
+package, its tests or its benchmark, and no module reads a private
+attribute that only another module's classes define.
 
 The package re-exports its public API from ``__init__.py``, so that file is
 not checked and its re-exports are not reads; ``from __future__`` imports
@@ -174,3 +175,69 @@ def test_self_call_detector_sees_recursion():
 def test_no_function_calls_itself(path):
     # recursion depth would grow with the input; every search is iterative
     assert self_calls(path.read_text(encoding="utf-8")) == []
+
+
+def class_private_attributes(source: str) -> set[str]:
+    """Private attributes the module's classes define: methods, class-level
+    names, ``__slots__`` entries and ``self._x`` assignments."""
+    found: set[str] = set()
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.add(item.name)
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+                found.update(names)
+                if "__slots__" in names:
+                    found.update(
+                        c.value for c in ast.walk(item.value)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    )
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                found.add(node.attr)
+    return {name for name in found if name.startswith("_") and not name.endswith("__")}
+
+
+def private_reads(source: str, names: set[str]) -> list[str]:
+    """Attribute reads ``obj._x`` of the given private names, by line."""
+    return [
+        f"{node.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in names
+    ]
+
+
+def test_private_attribute_detector_sees_foreign_reads():
+    a = (
+        "class K:\n    __slots__ = ('_s', 'n')\n    _c = 1\n"
+        "    def __init__(self):\n        self._x = 0\n"
+        "    def _m(self):\n        return self._x\n"
+    )
+    b = (
+        "class L:\n    def __init__(self):\n        self._own = 1\n"
+        "def f(k, l):\n    return k._x + k._m() + l._own + k.n\n"
+    )
+    assert class_private_attributes(a) == {"_s", "_c", "_x", "_m"}
+    foreign = class_private_attributes(a) - class_private_attributes(b)
+    assert private_reads(b, foreign) == ["_x (line 5)", "_m (line 5)"]
+
+
+def test_no_module_reads_another_modules_private_attributes():
+    # a private attribute is read only where its class is defined; another
+    # module goes through a public name
+    own = {path: class_private_attributes(path.read_text(encoding="utf-8")) for path in MODULES}
+    found = []
+    for path in MODULES:
+        foreign = set().union(*(names for other, names in own.items() if other != path))
+        foreign -= own[path]
+        found += [f"{path.name}: {r}" for r in private_reads(path.read_text(encoding="utf-8"), foreign)]
+    assert found == []

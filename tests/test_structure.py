@@ -25,19 +25,18 @@ from oneplanar import gen_random_oneplanar
 
 def _single_crossing_fixture() -> CanonicalTriangulation:
     """5 vertices, one crossing: edge 2-4 crossing 1-3 inside a triangulation."""
-    from oneplanar.embedding import MutableEmbedding
-    from oneplanar.model import AbstractGraph, normalize_edge, trace_faces
+    from oneplanar.embedding import cross_edge
+    from oneplanar.model import AbstractGraph, normalize_edge
 
     # planar K4 with vertex 4 inside its face 0-1-3
-    rot = [[1, 2, 3, 4], [2, 0, 4, 3], [0, 1, 3], [0, 2, 1, 4], [0, 3, 1]]
-    emb = MutableEmbedding(rot, trace_faces(rot).faces)
-    a, c = emb.insert_crossing(1, 3, 5)
+    rot = dict(enumerate([[1, 2, 3, 4], [2, 0, 4, 3], [0, 1, 3], [0, 2, 1, 4], [0, 3, 1]]))
+    a, c = cross_edge(rot, 1, 3, 5)
     assert {a, c} == {2, 4}
-    edges = {normalize_edge(u, v) for u in range(5) for v in emb.rot[u] if v < 5 and u < v}
+    edges = {normalize_edge(u, v) for u in range(5) for v in rot[u] if v < 5 and u < v}
     edges.add((1, 3))
     edges.add(normalize_edge(a, c))
     g = AbstractGraph(5, edges)
-    d = OnePlanarDrawing(g, [Crossing(normalize_edge(a, c), (1, 3))], emb.rotations(range(6)))
+    d = OnePlanarDrawing(g, [Crossing(normalize_edge(a, c), (1, 3))], [rot[w] for w in range(6)])
     return canonical_triangulate(d)
 
 

@@ -14,6 +14,7 @@ from oneplanar import (
     is_canonical,
     named_instance,
     trace_faces,
+    validate_drawing,
     write_drawing_json,
 )
 from oneplanar.model import normalize_edge
@@ -41,6 +42,24 @@ STEP2_CROSSED = OnePlanarDrawing(
     [[6, 3, 4, 7, 5], [6, 5, 7, 2], [6, 1, 3], [6, 2, 0], [7, 0], [7, 1, 0],
      [0, 1, 2, 3], [0, 4, 1, 5]],
 )
+# Two crossings, 0-2 x 1-3 at 7 and 0-4 x 1-5 at 8, with no quad edges: step 1
+# draws (0, 1) for crossing 7, step 2 deletes it again to draw crossing 8's
+# copy, and step 4 restores both removed edges as fill chords.
+_RESTORED_EDGES = [(0, 2), (1, 3), (0, 4), (1, 5), (0, 6), (1, 6)]
+_RESTORED_CROSSINGS = [((0, 2), (1, 3)), ((0, 4), (1, 5))]
+_RESTORED_ROT = [[8, 6, 7], [8, 7, 6], [7], [7], [8], [8], [1, 0], [0, 1, 2, 3], [5, 4, 1, 0]]
+STEP2_RESTORED = OnePlanarDrawing(
+    AbstractGraph(7, _RESTORED_EDGES), _RESTORED_CROSSINGS, _RESTORED_ROT
+)
+# The same drawing plus edge 2-4: valid and connected, yet after steps 1-4 the
+# faces beside (0, 2) no longer have 1 and 3 as their third corners, so (1, 3)
+# cannot be drawn across it again and the drawing is refused.
+STEP2_QUAD_LOST = OnePlanarDrawing(
+    AbstractGraph(7, _RESTORED_EDGES + [(2, 4)]),
+    _RESTORED_CROSSINGS,
+    [[7, 4] if w == 2 else [2, 8] if w == 4 else order for w, order in enumerate(_RESTORED_ROT)],
+)
+QUAD_LOST_MESSAGE = "cannot restore edge (1, 3) across (0, 2): its quad is no longer in place"
 
 
 def test_kite_triangulates_fully():
@@ -140,7 +159,9 @@ def test_kite_quads_present_around_every_crossing(corpus_drawings):
                 assert normalize_edge(order[k], order[(k + 1) % 4]) in out.base.edges
 
 
-@pytest.mark.parametrize("d", [STEP2_UNCROSSED, STEP2_CROSSED], ids=["uncrossed", "crossed"])
+@pytest.mark.parametrize(
+    "d", [STEP2_UNCROSSED, STEP2_CROSSED, STEP2_RESTORED], ids=["uncrossed", "crossed", "restored"]
+)
 def test_step2_removes_duplicate_quad_edge(d):
     T = canonical_triangulate(d)
     assert T.removed_duplicates == ((0, 1),)
@@ -148,9 +169,24 @@ def test_step2_removes_duplicate_quad_edge(d):
     assert T == reference_triangulate(d)
 
 
+def test_valid_drawing_whose_quad_is_lost_is_refused():
+    assert validate_drawing(STEP2_QUAD_LOST).valid
+    assert STEP2_QUAD_LOST.face_list.components == 1
+    with pytest.raises(TriangulationError) as info:
+        canonical_triangulate(STEP2_QUAD_LOST)
+    assert str(info.value) == QUAD_LOST_MESSAGE
+
+
+HAND_BUILT = {
+    "step2-uncrossed": STEP2_UNCROSSED,
+    "step2-crossed": STEP2_CROSSED,
+    "step2-restored": STEP2_RESTORED,
+}
+
+
 def _triangulation_input(name: str) -> OnePlanarDrawing:
-    if name.startswith("step2"):
-        return STEP2_CROSSED if name == "step2-crossed" else STEP2_UNCROSSED
+    if name in HAND_BUILT:
+        return HAND_BUILT[name]
     n, frac, seed, every = name.split("-")[1:]
     d = gen_random_oneplanar(int(n), Fraction(frac), int(seed))
     return without_uncrossed_edges(d, int(every))
@@ -162,6 +198,7 @@ def _triangulation_input(name: str) -> OnePlanarDrawing:
 TRIANGULATE_PINS = {
     "step2-uncrossed": "44c21f4ce4dcf7512ef6ff79ae2b934fbab2cb82fe8c0c9352369d73017031ba",
     "step2-crossed": "1294d62f16881f0d0646cfb2d14849207d7c274b777d5e163cb5dae8d4c25df1",
+    "step2-restored": "95217b991bdf9b52f18878ecf4d1f1ec35d548cb28b514b8b82d94eecbae1d52",
     "thinned-60-1/4-2-2": "6ba2e1dd2f1803cf393c918eaa03447bc577c1d5daed7e7a71eb3a45e3631f89",
     "thinned-150-1/2-9-3": "5fae9d535e392be2420f24ed52993fcadb94d4caf68fd6375c72e70c24fdc2ba",
     "thinned-300-1-4-2": "ce705d8c037365021527d576ca9cf2a2dc6668518cdb3ecb7703fa2806087711",

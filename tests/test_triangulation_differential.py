@@ -5,13 +5,16 @@ builds its embedding from the drawing's cached faces; the reference scans
 every face before each chord and re-traces the rotation.  On thinned
 generated drawings of every corpus crossing fraction both must give the
 same drawing and the same four provenance tuples, or raise the same
-``TriangulationError`` (for ``StepFourDeadlock``, on the same face).
+``TriangulationError`` (for ``StepFourDeadlock``, on the same face).  Two
+hand-built drawings add what no thinned drawing reaches: a step 2 deletion
+whose removed edges step 4 restores, and a refused step 5 re-insertion.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +23,7 @@ from oneplanar.triangulation import StepFourDeadlock, TriangulationError
 
 from conftest import CORPUS_FRACTIONS, without_uncrossed_edges
 from reference_triangulation import reference_triangulate
+from test_triangulation import STEP2_QUAD_LOST, STEP2_RESTORED
 
 thinned_drawings = st.builds(
     lambda n, fi, seed, every: without_uncrossed_edges(
@@ -68,3 +72,8 @@ def test_triangulation_matches_reference_on_thinned_drawings():
     check()
     print(f"[triangulation differential] drawings with: {dict(sorted(seen.items()))}")
     assert seen["kite"] and seen["fill"]
+
+
+@pytest.mark.parametrize("d", [STEP2_RESTORED, STEP2_QUAD_LOST], ids=["restored", "quad-lost"])
+def test_triangulation_matches_reference_on_hand_built_drawings(d):
+    assert _outcome(canonical_triangulate, d) == _outcome(reference_triangulate, d)
