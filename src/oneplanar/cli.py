@@ -202,10 +202,6 @@ def _write_compact(path: str, doc) -> None:
     )
 
 
-def _frac(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def _key(k) -> str:
     return f"v{k}" if isinstance(k, int) else f"f{k[1]}"
 
@@ -292,17 +288,17 @@ def _check_discharge(g, d, **_) -> _Outcome:
     led0 = initial_charges(T)
     led1 = apply_rules(T, led0)
     rep = audit(led1)
-    total = _frac(rep.total)
+    total = str(rep.total)
     detail = {"total": total, "negatives": len(rep.negatives)}
     return _Outcome(rep.total_is_minus8, detail, lambda: (
         {
-            "initial_total": _frac(led0.total()),
+            "initial_total": str(led0.total()),
             "final_total": total,
             "total_is_minus8": rep.total_is_minus8,
             "special_faces": len(special_faces(T)),
             "transfers": len(led1.transcript),
             "negatives": [_key(k) for k in rep.negatives],
-            "vertex_charges": {str(v): _frac(c) for v, c in sorted(led1.vertex_charges().items())},
+            "vertex_charges": {str(v): str(c) for v, c in sorted(led1.vertex_charges().items())},
         },
         [f"total {total}, {len(rep.negatives)} negative elements"],
     ), led1)
@@ -436,7 +432,7 @@ def _cmd_discharge(args) -> int:
     out = _check_discharge(*_load_input(args.input))
     if args.transcript:
         _write_compact(args.transcript, [
-            {"rule": t.rule, "from": _key(t.source), "to": _key(t.target), "amount": _frac(t.amount)}
+            {"rule": t.rule, "from": _key(t.source), "to": _key(t.target), "amount": str(t.amount)}
             for t in out.value.transcript
         ])
     return _finish(out, args.format)

@@ -94,21 +94,20 @@ def find_light_path3(g: AbstractGraph) -> tuple[int, int, int]:
     """A path u-v-w with all three degrees at most 35, for min degree >= 4."""
     if g.min_degree() < 4:
         raise MinDegreeError(f"light 3-path needs minimum degree 4, got {g.min_degree()}")
+    # the center has degree 4..7, so its two smallest neighbors lie under
+    # its last ceilings, each at most CEILINGS[-1]
     cfg = find_configuration(g)
-    u, w = cfg.neighbors[0], cfg.neighbors[1]
-    path = (u, cfg.center, w)
-    assert all(g.degree(x) <= CEILINGS[-1] for x in path)
-    return path
+    return cfg.neighbors[0], cfg.center, cfg.neighbors[1]
 
 
 def find_light_star3(g: AbstractGraph) -> tuple[int, tuple[int, int, int]]:
     """A center with three neighbors, all four degrees at most 35, for min degree >= 5."""
     if g.min_degree() < 5:
         raise MinDegreeError(f"light 3-star needs minimum degree 5, got {g.min_degree()}")
+    # the center has degree 5..7, so its three smallest neighbors lie under
+    # its last ceilings, each at most CEILINGS[-1]
     cfg = find_configuration(g)
-    leaves = cfg.neighbors[:3]
-    assert all(g.degree(x) <= CEILINGS[-1] for x in (cfg.center, *leaves))
-    return cfg.center, tuple(leaves)
+    return cfg.center, tuple(cfg.neighbors[:3])
 
 
 # --------------------------------------------------------------------------

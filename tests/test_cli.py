@@ -82,17 +82,27 @@ def test_triangulate_roundtrip(tmp_path):
     assert r2.returncode == 0
 
 
-def test_triangulate_refusal_is_one_json_line(tmp_path):
-    from test_triangulation import QUAD_LOST_MESSAGE, STEP2_QUAD_LOST
-
-    src = tmp_path / "quad_lost.json"
-    save_drawing(STEP2_QUAD_LOST, src)
+def _assert_triangulate_refused(tmp_path, d, message):
+    src = tmp_path / "refused.json"
+    save_drawing(d, src)
     r = run_cli("triangulate", str(src), "-o", str(tmp_path / "out.json"))
     assert r.returncode == 1 and "Traceback" not in r.stderr
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "TriangulationError", "message": QUAD_LOST_MESSAGE}
+    assert json.loads(lines[0]) == {"error": "TriangulationError", "message": message}
     assert not (tmp_path / "out.json").exists()
+
+
+def test_triangulate_refusal_is_one_json_line(tmp_path):
+    from test_triangulation import QUAD_LOST_MESSAGE, STEP2_QUAD_LOST
+
+    _assert_triangulate_refused(tmp_path, STEP2_QUAD_LOST, QUAD_LOST_MESSAGE)
+
+
+def test_triangulate_refuses_a_disconnecting_deletion(tmp_path):
+    from test_triangulation import DISCONNECTS_MESSAGE, STEP2_DISCONNECTS
+
+    _assert_triangulate_refused(tmp_path, STEP2_DISCONNECTS, DISCONNECTS_MESSAGE)
 
 
 def test_census(octa_file):

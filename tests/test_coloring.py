@@ -500,6 +500,25 @@ def test_admissible_set_size_bound_violation_is_reported():
     )
 
 
+def test_empty_admissible_set_under_a_small_palette_is_a_size_bound_violation():
+    # a degree-3 center 0 with neighbors 1, 2, 3 under L = 10: neighbor 1
+    # carries 9 colors and neighbor 3 the tenth, far more than their ceilings
+    # allow at this palette, so literal_bound is 10 - (34 + 10) < 0 and only
+    # the emptiness test can catch the last-edge set, which the first edge's
+    # color 0 empties; backing up instead would end in "admissible sets exhausted"
+    state = _State(14)
+    for c in range(9):
+        state.assign(1, 4 + c, c)
+    state.assign(3, 13, 9)
+    step = PlanStep(0, "config", "C2", (1, 2, 3), (2, 3), False)
+    with pytest.raises(ExtensionFailed) as info:
+        _extend_step(state, step, 2, 10, 10, None)
+    assert str(info.value) == (
+        "extension failed at step 2 (vertex 0): admissible-set size bound violated: "
+        "last-edge set has 0 colors, guarantee is -34"
+    )
+
+
 def test_replay_backs_up_and_recolors_an_earlier_edge():
     # a degree-4 center 0 returns with neighbors (1, 2, 3, 4) and uncolored
     # surroundings, so its edges go to 3, 4, 1, 2 and each draws from its own

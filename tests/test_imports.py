@@ -2,7 +2,8 @@
 private module-level function, class or constant is used where it is
 defined, every public function or method is read somewhere in the
 package, its tests or its benchmark, and no module reads a private
-attribute that only another module's classes define.
+attribute that only another module's classes define, and no package
+module uses ``assert``, which ``python -O`` strips.
 
 The package re-exports its public API from ``__init__.py``, so that file is
 not checked and its re-exports are not reads; ``from __future__`` imports
@@ -241,3 +242,24 @@ def test_no_module_reads_another_modules_private_attributes():
         foreign -= own[path]
         found += [f"{path.name}: {r}" for r in private_reads(path.read_text(encoding="utf-8"), foreign)]
     assert found == []
+
+
+def asserts(source: str) -> list[str]:
+    """``assert`` statements, by line."""
+    tree = ast.parse(source)
+    return [f"assert (line {node.lineno})" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_assert_detector_sees_asserts():
+    src = (
+        "def f(x):\n    assert x, 'msg'\n"
+        "    if x:\n        assert x > 1\n    return x\n"
+        "ok = 'assert'\n"
+    )
+    assert asserts(src) == ["assert (line 2)", "assert (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_asserts(path):
+    # a check that python -O strips is no check; the package raises instead
+    assert asserts(path.read_text(encoding="utf-8")) == []

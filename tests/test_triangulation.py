@@ -14,6 +14,7 @@ from oneplanar import (
     is_canonical,
     named_instance,
     trace_faces,
+    triangulation,
     validate_drawing,
     write_drawing_json,
 )
@@ -60,6 +61,15 @@ STEP2_QUAD_LOST = OnePlanarDrawing(
     [[7, 4] if w == 2 else [2, 8] if w == 4 else order for w, order in enumerate(_RESTORED_ROT)],
 )
 QUAD_LOST_MESSAGE = "cannot restore edge (1, 3) across (0, 2): its quad is no longer in place"
+# Crossings 0-2 x 1-3 at 6 and 0-1 x 4-5 at 7, nothing else: valid and
+# connected, but the quad edge (0, 1) of crossing 6 is crossed at 7, and once
+# its half 0-7 is gone the half 7-1 is all that holds 4-5 to the rest.
+STEP2_DISCONNECTS = OnePlanarDrawing(
+    AbstractGraph(6, [(0, 2), (1, 3), (0, 1), (4, 5)]),
+    [((0, 2), (1, 3)), ((0, 1), (4, 5))],
+    [[7, 6], [7, 6], [6], [6], [7], [7], [1, 0, 3, 2], [4, 0, 5, 1]],
+)
+DISCONNECTS_MESSAGE = "removing edge (0, 1) would disconnect the drawing"
 
 
 def test_kite_triangulates_fully():
@@ -177,6 +187,16 @@ def test_valid_drawing_whose_quad_is_lost_is_refused():
     assert str(info.value) == QUAD_LOST_MESSAGE
 
 
+def test_valid_drawing_whose_step2_deletion_disconnects_is_refused():
+    # the reference, which splits the face, returns a two-component drawing
+    assert validate_drawing(STEP2_DISCONNECTS).valid
+    assert STEP2_DISCONNECTS.face_list.components == 1
+    assert reference_triangulate(STEP2_DISCONNECTS).drawing.face_list.components == 2
+    with pytest.raises(TriangulationError) as info:
+        canonical_triangulate(STEP2_DISCONNECTS)
+    assert str(info.value) == DISCONNECTS_MESSAGE
+
+
 HAND_BUILT = {
     "step2-uncrossed": STEP2_UNCROSSED,
     "step2-crossed": STEP2_CROSSED,
@@ -213,3 +233,31 @@ def test_triangulate_output_pinned(name):
     prov = {k: [list(e) for e in getattr(T, k)] for k in kinds}
     text = write_drawing_json(T.drawing) + json.dumps(prov, sort_keys=True, indent=2) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == TRIANGULATE_PINS[name]
+
+
+def _cyclic(walks) -> list[tuple[int, ...]]:
+    """Face walks as cycles: each one rotated to its least rotation, then sorted."""
+    return sorted(min(tuple(w[k:]) + tuple(w[:k]) for k in range(len(w))) for w in walks)
+
+
+def test_face_table_handed_to_step4_matches_traced_faces(monkeypatch):
+    # steps 1-3 edit their face table move by move; when step 4 is handed it,
+    # it must hold exactly the faces the rotations trace at that point, and
+    # the edge set must be the rotations' adjacency
+    fill = triangulation._fill_faces
+    checked = []
+
+    def check(rot, faces, gadj):
+        assert sorted(rot) == list(range(len(rot)))
+        assert _cyclic(faces.values()) == _cyclic(trace_faces([rot[w] for w in sorted(rot)]).faces)
+        assert gadj == {normalize_edge(u, w) for u in rot for w in rot[u]}
+        checked.append(len(faces))
+        return fill(rot, faces, gadj)
+
+    monkeypatch.setattr(triangulation, "_fill_faces", check)
+    inputs = [_triangulation_input(name) for name in sorted(TRIANGULATE_PINS)]
+    for d in inputs:
+        canonical_triangulate(d)
+    with pytest.raises(TriangulationError, match="its quad is no longer in place"):
+        canonical_triangulate(STEP2_QUAD_LOST)
+    assert len(checked) == len(inputs) + 1
