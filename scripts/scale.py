@@ -20,7 +20,11 @@ triangulation steps 1-5 run), then times these layers, each the minimum of
   canonical) triangulation;
 - ``initial_charges``, ``apply_rules`` and ``audit`` on that triangulation;
 - ``color_run`` of its graph, plan included;
-- ``verify``: ``verify_acyclic`` of that coloring.
+- ``verify``: ``verify_acyclic`` of that coloring;
+- ``color_lists``: ``color_run`` of the same graph under lists of L colors,
+  each edge given one of 64 seeded L-subsets of 0..2L-1; the 64 tuples are
+  shared by every edge, so the input holds only O(64 L) colors and
+  ``peak_kib`` is the layer's own memory.
 
 A drawing keeps its validation report and face list once computed, so every
 repetition re-reads its drawing from JSON text and times a fresh object.
@@ -65,17 +69,19 @@ from oneplanar import (  # noqa: E402
     color_run,
     gen_random_oneplanar,
     initial_charges,
+    palette_size,
     validate_drawing,
     verify_acyclic,
 )
-from oneplanar.corpus import read_drawing_json, write_drawing_json  # noqa: E402
+from oneplanar.corpus import XorShift64Star, read_drawing_json, write_drawing_json  # noqa: E402
 from perfbench.inputs import thin_drawing  # noqa: E402
 
 SIZES = (1000, 4000, 16000)
 FRACTIONS = (Fraction(0), Fraction(1, 2), Fraction(1))
 SEED = 7
 LAYERS = ("gen", "write_json", "read_json", "triangulate_thinned", "validate", "census",
-          "initial_charges", "apply_rules", "audit", "color_run", "verify")
+          "initial_charges", "apply_rules", "audit", "color_run", "verify", "color_lists")
+SHAPES = 64
 
 
 def _digest(*parts) -> str:
@@ -112,6 +118,19 @@ def _peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, (round(peak / 1024),)
+
+
+def _shared_lists(g, L: int) -> dict:
+    """Edge -> one of SHAPES seeded L-subsets of 0..2L-1, as shared tuples."""
+    rng = XorShift64Star(SEED)
+    shapes = []
+    for _ in range(SHAPES):
+        pool = list(range(2 * L))
+        for i in range(L):
+            j = i + rng.below(2 * L - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        shapes.append(tuple(pool[:L]))
+    return {e: shapes[rng.below(SHAPES)] for e in g.sorted_edges()}
 
 
 def _census(T) -> list:
@@ -156,6 +175,10 @@ def _one_repetition(n: int, fraction: Fraction, thin_text: str, run=_timed) -> d
     )
     vrep, cost = run(verify_acyclic, g, result.coloring)
     out["verify"] = (_digest(vrep), cost)
+    del result
+    lists = _shared_lists(g, palette_size(g.max_degree()))
+    result, cost = run(color_run, g, lists)
+    out["color_lists"] = (_digest(sorted(result.coloring.assignment.items())), cost)
     return out
 
 

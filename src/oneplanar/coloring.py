@@ -28,16 +28,19 @@ neighbors.  So after a removal the plan re-checks those neighbors, plus
 the degree <= 7 neighbors of any neighbor whose degree has just fallen onto
 a ceiling; every vertex falls onto each ceiling at most once, which keeps
 the plan linear.  The replay walks each admissible set lazily, in ascending
-order, so an edge costs O(|forbidden| + attempts) rather than O(L); the
-StepStats sizes come from set arithmetic (L - |forbidden| on the palette,
-|list| - |forbidden & list| on a list), not from listing the sets.
+order, so a palette edge costs O(|forbidden| + attempts) rather than O(L);
+the StepStats sizes come from set arithmetic (L - |forbidden| on the
+palette, |list| - |forbidden & list| on a list), not from listing the sets.
+A list edge also costs O(L log L) to normalize its list (sorted, without
+duplicates); that is done one step at a time, so a list coloring holds the
+lists of at most one step's edges beyond its input.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .model import AbstractGraph, Edge, OnePlanarError, normalize_edge
 from .structure import CEILINGS, LIGHT_DEGREE_MAX, ConfigurationNotFound, matches_configuration
@@ -306,7 +309,7 @@ def _extend_step(
     index: int,
     L: int,
     maxdeg: int,
-    edge_lists: dict[Edge, tuple[int, ...]] | None,
+    edge_lists: Mapping[Edge, Sequence[int]] | None,
 ) -> StepStats:
     v = step.vertex
     nbrs = step.neighbors
@@ -375,38 +378,59 @@ def _extend_step(
     return stats
 
 
-def color_run(g: AbstractGraph, lists: Mapping[Edge, Iterable[int]] | None = None) -> ColoringRun:
+def _check_lists(g: AbstractGraph, lists: Mapping[Edge, Collection[int]], L: int) -> None:
+    """Raise ListTooSmall for the first edge, in g.edges order, whose list is
+    missing or holds fewer than L distinct colors."""
+    for e in g.edges:
+        if e not in lists:
+            raise ListTooSmall(f"no color list for edge {e}")
+        k = len(set(lists[e]))
+        if k < L:
+            raise ListTooSmall(f"list for edge {e} has {k} colors, need {L}")
+
+
+def color_run(g: AbstractGraph, lists: Mapping[Edge, Collection[int]] | None = None) -> ColoringRun:
     """Run the elimination plan in reverse and color every edge.
 
     With lists=None the palette is 0..L-1; otherwise every admissible set
-    is intersected with the edge's own list (each of size >= L), and an
-    auxiliary edge inherits the list of the edge whose color it donates.
+    is intersected with the edge's own list, and an auxiliary edge inherits
+    the list of the edge whose color it donates.  A list is a collection of
+    ints (list, tuple, range, set: it is read more than once, so not a
+    one-shot iterator) with at least L distinct colors; order and
+    duplicates are ignored.  Only the lists of the step being replayed are
+    normalized, so a list coloring holds at most 7 sorted copies at a time.
     """
     L = palette_size(g.max_degree())
     plan = build_elimination_plan(g)
-
-    edge_lists: dict[Edge, tuple[int, ...]] | None = None
-    if lists is not None:
-        edge_lists = {}
-        for e in g.edges:
-            if e not in lists:
-                raise ListTooSmall(f"no color list for edge {e}")
-            lst = tuple(sorted(set(lists[e])))
-            if len(lst) < L:
-                raise ListTooSmall(f"list for edge {e} has {len(lst)} colors, need {L}")
-            edge_lists[e] = lst
-        # aux edges inherit the list of the edge that donates their color
+    maxdeg = g.max_degree()
+    state = _State(g.n)
+    order = range(len(plan.steps) - 1, -1, -1)
+    if lists is None:
+        run_stats = [_extend_step(state, plan.steps[i], i, L, maxdeg, None) for i in order]
+    else:
+        # every list is scanned, naming the first bad edge in g.edges order,
+        # only when a list is missing or short, when a step meets fewer than
+        # L distinct colors, or when the replay fails before reaching them all
+        if any(e not in lists or len(lists[e]) < L for e in g.edges):
+            _check_lists(g, lists, L)
+        source: dict[Edge, Edge] = {}  # aux edge -> the edge whose list it inherits
         for step in plan.steps:
             if step.aux_added:
                 donor = normalize_edge(step.vertex, step.aux[0])
-                edge_lists[normalize_edge(*step.aux)] = edge_lists[donor]
-
-    maxdeg = g.max_degree()
-    state = _State(g.n)
-    run_stats = [
-        _extend_step(state, plan.steps[index], index, L, maxdeg, edge_lists)
-        for index in range(len(plan.steps) - 1, -1, -1)
-    ]
+                source[normalize_edge(*step.aux)] = source.get(donor, donor)
+        run_stats = []
+        try:
+            for i in order:
+                step, step_lists = plan.steps[i], {}
+                for u in step.neighbors:
+                    e = normalize_edge(step.vertex, u)
+                    lst = step_lists[e] = sorted(set(lists[source.get(e, e)]))
+                    if len(lst) < L:
+                        _check_lists(g, lists, L)
+                run_stats.append(_extend_step(state, step, i, L, maxdeg, step_lists))
+        except ExtensionFailed:
+            _check_lists(g, lists, L)
+            raise
 
     assignment = dict(state.edge_color)
     missing = g.edges - set(assignment)
@@ -420,7 +444,7 @@ def acyclic_edge_color(g: AbstractGraph) -> EdgeColoring:
     return color_run(g).coloring
 
 
-def acyclic_edge_color_lists(g: AbstractGraph, lists: Mapping[Edge, Iterable[int]]) -> EdgeColoring:
+def acyclic_edge_color_lists(g: AbstractGraph, lists: Mapping[Edge, Collection[int]]) -> EdgeColoring:
     return color_run(g, lists).coloring
 
 

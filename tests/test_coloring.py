@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -435,6 +436,135 @@ def test_color_run_leaves_no_cyclic_garbage():
     finally:
         gc.enable()
 
+
+def _normalized(lists: dict) -> dict:
+    return {e: sorted(set(colors)) for e, colors in lists.items()}
+
+
+@pytest.mark.parametrize("spec", PIN_SPECS[:4], ids=lambda s: f"n{s[0]}-f{s[1]}")
+def test_list_forms_give_the_same_run(spec):
+    # a list is a collection whose order and duplicates do not matter
+    g = gen_random_oneplanar(*spec).base
+    L = palette_size(g.max_degree())
+    rng = XorShift64Star(spec[2])
+    lists = _seeded_lists(g, spec[2])
+    padded = {}
+    for e, colors in lists.items():
+        shuffled = colors + colors[: rng.below(4)]
+        for i in range(len(shuffled) - 1, 0, -1):
+            j = rng.below(i + 1)
+            shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+        padded[e] = shuffled
+    ranges = {e: range(k := rng.below(L), k + L) for e in sorted(g.edges)}
+    for given_lists, forms in (
+        (lists, [padded, {e: tuple(c) for e, c in padded.items()}, {e: set(c) for e, c in lists.items()}]),
+        (ranges, [ranges, {e: list(r) * 2 for e, r in ranges.items()}]),
+    ):
+        want = color_run(g, _normalized(given_lists))
+        for form in forms:
+            run = color_run(g, form)
+            assert run.coloring.assignment == want.coloring.assignment
+            assert run.step_stats == want.step_stats
+
+
+def _dup_short(colors: list) -> list:
+    """L entries but L - 1 distinct colors."""
+    return colors[:-1] + colors[:1]
+
+
+# messages taken from the code that normalized every list before the replay;
+# on PIN_SPECS[1] (L = 100) edge (3, 7) comes before (18, 35) in g.edges,
+# and (1, 32) donates its list to the aux edge (3, 32) of vertex 1's step
+@pytest.mark.parametrize(
+    "edit, budget, message",
+    [
+        ({(3, 7): _dup_short, (18, 35): lambda c: c[:98]}, None,
+         "list for edge (3, 7) has 99 colors, need 100"),
+        ({(3, 7): _dup_short, (18, 35): None}, None,
+         "list for edge (3, 7) has 99 colors, need 100"),
+        ({(3, 7): lambda c: c[:99], (18, 35): None}, None,
+         "list for edge (3, 7) has 99 colors, need 100"),
+        ({(1, 32): _dup_short}, None, "list for edge (1, 32) has 99 colors, need 100"),
+        ({(1, 32): _dup_short}, 0, "list for edge (1, 32) has 99 colors, need 100"),
+    ],
+    ids=["duplicates-before-short", "duplicates-before-missing", "short-before-missing",
+         "aux-donor-duplicates", "before-extension-failure"],
+)
+def test_list_too_small_names_the_first_bad_edge(monkeypatch, edit, budget, message):
+    g = gen_random_oneplanar(*PIN_SPECS[1]).base
+    edges = list(g.edges)
+    assert edges.index((3, 7)) < edges.index((18, 35))
+    step = next(s for s in build_elimination_plan(g).steps if s.aux_added)
+    assert (step.vertex, step.aux) == (1, (32, 3))
+    lists = _seeded_lists(g, PIN_SPECS[1][2])
+    for e, change in edit.items():
+        if change is None:
+            del lists[e]
+        else:
+            lists[e] = change(lists[e])
+    if budget is not None:
+        monkeypatch.setattr(coloring, "BACKTRACK_BUDGET", budget)
+    with pytest.raises(ListTooSmall) as info:
+        color_run(g, lists)
+    assert str(info.value) == message
+
+
+def test_list_too_small_matches_a_scan_of_every_list(monkeypatch):
+    # seeded missing, short and duplicate-short lists, aux donors among
+    # them: the error names the first bad edge of g.edges, as a scan of
+    # every list before the replay does; under a zero budget too
+    for seed in range(24):
+        rng = XorShift64Star(500 + seed)
+        g = gen_random_oneplanar(8 + rng.below(50), PIN_SPECS[seed % 4][1], seed).base
+        L = palette_size(g.max_degree())
+        lists = _seeded_lists(g, seed)
+        edges = sorted(g.edges)
+        donors = [(s.vertex, s.aux[0]) for s in build_elimination_plan(g).steps if s.aux_added]
+        for _ in range(rng.below(3)):
+            kind = rng.below(4)
+            e = edges[rng.below(len(edges))]
+            if kind == 3 and donors:
+                e = tuple(sorted(donors[rng.below(len(donors))]))
+            if e in lists:
+                lists[e] = None if kind == 0 else lists[e][: L - 1] if kind == 1 else _dup_short(lists[e])
+        lists = {e: c for e, c in lists.items() if c is not None}
+        expected = None
+        for e in g.edges:
+            if e not in lists:
+                expected = f"no color list for edge {e}"
+            elif len(set(lists[e])) < L:
+                expected = f"list for edge {e} has {len(set(lists[e]))} colors, need {L}"
+            if expected:
+                break
+        monkeypatch.setattr(coloring, "BACKTRACK_BUDGET", 0 if seed % 6 == 0 else 10_000)
+        if expected is None and seed % 6:
+            assert color_run(g, lists).coloring == color_run(g, _normalized(lists)).coloring
+        elif expected is None:
+            with pytest.raises(ExtensionFailed):
+                color_run(g, lists)
+        else:
+            with pytest.raises(ListTooSmall) as info:
+                color_run(g, lists)
+            assert str(info.value) == expected
+
+
+def _traced_peak(fn, *args) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_list_coloring_holds_no_copy_of_every_list():
+    # only the lists of the step being replayed are normalized, so the
+    # lists add little to the run's own memory (a sorted copy of every list
+    # made it 3.7 times the plain run's here)
+    g = gen_random_oneplanar(400, Fraction(1, 2), 16).base
+    lists = _seeded_lists(g, 16)
+    assert _traced_peak(color_run, g, lists) <= 1.5 * _traced_peak(color_run, g)
 
 # vertex 0 returns with neighbors (1, 2) under L = 3: the first edge (to 1)
 # avoids the colors at 1 and 2, the second (to 2) the colors at 2 and the
