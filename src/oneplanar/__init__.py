@@ -19,7 +19,6 @@ from .model import (
     OnePlanarDrawing,
     OnePlanarError,
     ValidationReport,
-    associated_plane_graph,
     edge_bound_check,
     normalize_edge,
     trace_faces,
@@ -51,7 +50,6 @@ from .discharging import (
     apply_rules,
     audit,
     initial_charges,
-    replay,
     special_faces,
 )
 from .coloring import (

@@ -95,10 +95,7 @@ def _resolve_input(spec) -> tuple[AbstractGraph, OnePlanarDrawing | None, bytes]
         if "\0" in path:  # the OS refuses such a path with ValueError, not OSError
             raise _InputError(f"input path {path!r} contains a NUL byte")
         blob = Path(path).read_bytes()
-        try:
-            text = blob.decode("utf-8")
-        except UnicodeDecodeError:
-            raise _InputError(f"{path}: not UTF-8 text") from None
+        text = _decode(blob, path)
         if Path(path).suffix == ".g6":
             line = next((ln for ln in text.splitlines() if ln.strip()), "")
             return parse_graph6(line), None, blob
@@ -146,9 +143,17 @@ def _need_drawing(d: OnePlanarDrawing | None) -> OnePlanarDrawing:
     return d
 
 
-def _read_json(path: str):
+def _decode(blob: bytes, path: str) -> str:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return blob.decode("utf-8")
+    except UnicodeDecodeError:
+        raise _InputError(f"{path}: not UTF-8 text") from None
+
+
+def _read_json(path: str):
+    text = _decode(Path(path).read_bytes(), path)
+    try:
+        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise _InputError(f"{path}: not valid JSON: {exc}") from None
 

@@ -18,8 +18,9 @@ checked for new bichromatic cycles and backtracking inside the same
 admissible sets, at most BACKTRACK_BUDGET attempts per step, handles any
 failure, with exhaustion surfaced as ExtensionFailed rather than papered
 over.  The replay and the exact oracle share one iterative search,
-_backtrack, and one cycle test, _closes_cycle.  StepStats' set sizes and
-literal_bound are filled for configuration steps only.
+_backtrack, and one cycle test, _closes_cycle.  StepStats' set sizes
+(t1_size, td_size) and literal_bound are filled for configuration steps
+only.
 
 Cost.  A center's status depends on its neighbors' degrees only through
 how many lie at or below each of the CEILINGS, only degree <= 7
@@ -29,7 +30,7 @@ the degree <= 7 neighbors of any neighbor whose degree has just fallen onto
 a ceiling; every vertex falls onto each ceiling at most once, which keeps
 the plan linear.  The replay walks each admissible set lazily, in ascending
 order, so a palette edge costs O(|forbidden| + attempts) rather than O(L);
-the StepStats sizes come from set arithmetic (L - |forbidden| on the
+t1_size and td_size come from set arithmetic (L - |forbidden| on the
 palette, |list| - |forbidden & list| on a list), not from listing the sets.
 A list edge also costs O(L log L) to normalize its list (sorted, without
 duplicates); that is done one step at a time, so a list coloring holds the
@@ -189,9 +190,6 @@ class EdgeColoring:
     def num_colors(self) -> int:
         return len(set(self.assignment.values()))
 
-    def color(self, u: int, v: int) -> int:
-        return self.assignment[normalize_edge(u, v)]
-
 
 @dataclass
 class StepStats:
@@ -203,11 +201,6 @@ class StepStats:
     t1_size: int | None = None
     td_size: int | None = None
     literal_bound: int | None = None
-    middle_sizes: list[int] = field(default_factory=list)  # first-seen, by position
-    # sizes excluding, like t1_size, only the colors of the first two edges
-    # (these are monotone along the edge order; the executed sets can dip by
-    # one per further placed color)
-    middle_raw_sizes: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -341,7 +334,7 @@ def _extend_step(
     def candidates(pos: int) -> Iterable[int]:
         if pos == 0:
             return first
-        # the colors at v are the ones this step has placed so far, in order
+        # the colors at v are the ones this step has placed so far
         forbidden = seen[pos].union(state.colors[v])
         if config and pos in (1, 2):
             # size guarantee min(|T_1|, |T_d|) >= L - (sum(c_k - 1) + maxdeg) > 0
@@ -358,10 +351,6 @@ def _extend_step(
                     f"admissible-set size bound violated: {which} set has {size} "
                     f"colors, guarantee is {stats.literal_bound}",
                 )
-        elif config and len(stats.middle_sizes) == pos - 3:
-            stats.middle_sizes.append(_admissible_size(allowed[pos], forbidden))
-            raw = seen[pos].union(list(state.colors[v])[:2])
-            stats.middle_raw_sizes.append(_admissible_size(allowed[pos], raw))
         return (c for c in allowed[pos] if c not in forbidden)
 
     done, stats.attempts = _backtrack(state, [(u, v) for u in order], candidates, BACKTRACK_BUDGET)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 from .model import OnePlanarError
 from .structure import CEILINGS, LIGHT_DEGREE_MAX
@@ -145,17 +145,6 @@ def apply_rules(T: CanonicalTriangulation, ledger: ChargeLedger) -> ChargeLedger
         a, b = charges[key].as_integer_ratio()
         charges[key] = Fraction(a * _UNIT + moved * b, b * _UNIT)
     return ChargeLedger(charges, (*ledger.transcript, *transcript))
-
-
-def replay(initial: ChargeLedger, transcript: Iterable[Transfer]) -> ChargeLedger:
-    """Re-apply a transcript to an initial ledger; bit-exact reproduction."""
-    charges = dict(initial.charges)
-    applied = list(initial.transcript)
-    for t in transcript:
-        charges[t.source] -= t.amount
-        charges[t.target] += t.amount
-        applied.append(t)
-    return ChargeLedger(charges, tuple(applied))
 
 
 @dataclass(frozen=True)

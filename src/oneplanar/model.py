@@ -78,9 +78,6 @@ class AbstractGraph:
     def degree(self, v: int) -> int:
         return len(self._adj[v])
 
-    def degrees(self) -> list[int]:
-        return [len(s) for s in self._adj]
-
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and v in self._adj[u]
 
@@ -472,24 +469,6 @@ def edge_bound_check(d: OnePlanarDrawing) -> EdgeBoundReport:
     if v < 3:
         return EdgeBoundReport(True, True, v, e, bound)
     return EdgeBoundReport(e <= bound, False, v, e, bound)
-
-
-def associated_plane_graph(
-    d: OnePlanarDrawing,
-) -> tuple[AbstractGraph, tuple[tuple[int, ...], ...]]:
-    """Planarization as a plane-embedded simple graph plus its rotation.
-
-    Vertices >= d.n are the crossing markers; real vertices keep their
-    base-graph degree.  Raises InvalidDrawingError when the drawing fails
-    validation.  A valid rotation lists exactly the planarization edges,
-    so they are read off it.
-    """
-    report = validate_drawing(d)
-    if not report.valid:
-        raise InvalidDrawingError(report)
-    rot = d.rotation
-    edges = [(u, x) for u in range(len(rot)) for x in rot[u] if u < x]
-    return AbstractGraph(len(rot), edges), rot
 
 
 def planarization_components(d: OnePlanarDrawing) -> int:

@@ -517,17 +517,32 @@ def deep_json(tmp_path):
     return p
 
 
+def _read_side_file(command, drawing, path):
+    """Run a subcommand that reads path as a JSON file: the drawing, the
+    manifest, the coloring or the lists."""
+    args = {
+        "validate": ["validate", path],
+        "run-suite": ["run-suite", path],
+        "verify": ["verify", drawing, path],
+        "color-lists": ["color", drawing, "--lists", path],
+    }[command]
+    return run_cli(*map(str, args))
+
+
 @pytest.mark.parametrize("command", ["validate", "run-suite", "verify", "color-lists"])
 def test_deeply_nested_json_is_unusable_input(octa_file, deep_json, command):
-    args = {
-        "validate": ["validate", deep_json],
-        "run-suite": ["run-suite", deep_json],
-        "verify": ["verify", octa_file, deep_json],
-        "color-lists": ["color", octa_file, "--lists", deep_json],
-    }[command]
-    r = run_cli(*map(str, args))
+    r = _read_side_file(command, octa_file, deep_json)
     _assert_input_error(r)
     assert "not valid JSON" in json.loads(r.stderr)["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "run-suite", "verify", "color-lists"])
+def test_non_utf8_file_is_unusable_input(octa_file, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    r = _read_side_file(command, octa_file, bad)
+    _assert_input_error(r)
+    assert json.loads(r.stderr)["message"] == f"{bad}: not UTF-8 text"
 
 
 def test_run_suite_records_a_deeply_nested_file_entry(tmp_path, deep_json):

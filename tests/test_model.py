@@ -12,7 +12,6 @@ from oneplanar import (
     MalformedDrawingError,
     OnePlanarDrawing,
     apply_rules,
-    associated_plane_graph,
     canonical_triangulate,
     edge_bound_check,
     gen_random_oneplanar,
@@ -119,50 +118,54 @@ def test_edge_bound_failing_drawing():
         AbstractGraph(6, [(i, j) for i in range(6) for j in range(i + 1, 6)] + [(0, 1), (0, 2)])
 
 
+def _planarization_edges(rot) -> list[tuple[int, int]]:
+    # a valid drawing's rotation lists exactly the planarization's edges
+    return [(u, x) for u in range(len(rot)) for x in rot[u] if u < x]
+
+
 def test_associated_plane_graph_identity_for_plane():
     d = named_instance("octahedron")
-    g, rot = associated_plane_graph(d)
-    assert g == d.base and rot == d.rotation
+    assert len(d.rotation) == d.n
+    assert AbstractGraph(d.n, _planarization_edges(d.rotation)) == d.base
 
 
 def test_associated_plane_graph_bare_kite():
-    g, _ = associated_plane_graph(named_instance("kite"))
-    assert g.n == 5 and g.num_edges == 4
-    assert g.edges == frozenset({(0, 4), (1, 4), (2, 4), (3, 4)})
+    rot = named_instance("kite").rotation
+    assert len(rot) == 5
+    assert sorted(_planarization_edges(rot)) == [(0, 4), (1, 4), (2, 4), (3, 4)]
 
 
 def test_associated_plane_graph_quad_kite():
     assert validate_drawing(QUAD_KITE).valid
-    g, _ = associated_plane_graph(QUAD_KITE)
-    assert g.n == 5 and g.num_edges == 8
+    edges = _planarization_edges(QUAD_KITE.rotation)
+    assert len(QUAD_KITE.rotation) == 5 and len(edges) == 8
     for half in ((0, 4), (1, 4), (2, 4), (3, 4)):
-        assert half in g.edges
+        assert half in edges
     fl = trace_faces(QUAD_KITE.rotation)
     assert sorted(len(f) for f in fl.faces) == [3, 3, 3, 3, 4]
 
 
 def test_associated_plane_graph_k6_edge_count():
     d = named_instance("k6_1planar")
-    g, _ = associated_plane_graph(d)
-    assert g.n == 9
-    assert g.num_edges == d.base.num_edges + 2 * d.num_crossings == 21
+    assert len(d.rotation) == 9
+    assert len(_planarization_edges(d.rotation)) == d.base.num_edges + 2 * d.num_crossings == 21
 
 
 def test_associated_plane_graph_rejects_invalid():
+    # an invalid drawing is refused before any stage reads its rotation
     kite = named_instance("kite")
     rot = [list(r) for r in kite.rotation]
     rot[4] = [0, 1, 2, 3]
     bad = OnePlanarDrawing(kite.base, kite.crossings, rot)
     with pytest.raises(InvalidDrawingError) as exc:
-        associated_plane_graph(bad)
+        canonical_triangulate(bad)
     assert not exc.value.report.valid
 
 
 def test_degree_preservation_real_vertices():
     d = named_instance("k6_1planar")
-    g, _ = associated_plane_graph(d)
     for v in range(d.n):
-        assert g.degree(v) == d.base.degree(v)
+        assert len(d.rotation[v]) == d.base.degree(v)
 
 
 def test_trace_faces_triangle():
@@ -268,8 +271,6 @@ def test_drawing_is_validated_once(monkeypatch):
     assert T.drawing is d and is_canonical(T.drawing)
     assert canonical_triangulate(T.drawing).drawing is d
     assert initial_charges(T).total() == -8
-    g, _ = associated_plane_graph(d)
-    assert g.num_edges == d.base.num_edges + 2 * d.num_crossings
     assert len(calls) == 1
     assert validate_drawing(d) is rep
     with pytest.raises(TypeError):
@@ -279,10 +280,11 @@ def test_drawing_is_validated_once(monkeypatch):
 def test_handshake_and_face_length_sums(corpus_drawings):
     drawings, _ = corpus_drawings
     for d in drawings[:50]:
-        g, rot = associated_plane_graph(d)
-        assert sum(g.degrees()) == 2 * g.num_edges
-        assert sum(len(f) for f in trace_faces(rot).faces) == 2 * g.num_edges
-        assert g.num_edges == d.base.num_edges + 2 * d.num_crossings
+        rot = d.rotation
+        e = len(_planarization_edges(rot))
+        assert e == d.base.num_edges + 2 * d.num_crossings
+        assert sum(map(len, rot)) == 2 * e
+        assert sum(len(f) for f in trace_faces(rot).faces) == 2 * e
 
 
 def test_disconnected_euler_uses_components():

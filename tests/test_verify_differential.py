@@ -42,7 +42,8 @@ def _agree(g, ec):
     for a, b, cyc in got.bichromatic_cycles:
         assert len(cyc) >= 4 and cyc[0] == min(cyc)
         for i, u in enumerate(cyc):
-            assert ec.color(u, cyc[(i + 1) % len(cyc)]) == (a if i % 2 == 0 else b)
+            w = cyc[(i + 1) % len(cyc)]
+            assert ec.assignment[normalize_edge(u, w)] == (a if i % 2 == 0 else b)
     return got
 
 
